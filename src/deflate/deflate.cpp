@@ -16,22 +16,6 @@ namespace {
 
 namespace dt = deflate_tables;
 
-/// Precomputed length -> length-code LUT (index by length - 3).
-struct LengthCodeLut {
-  std::array<std::uint8_t, 256> code{};
-  LengthCodeLut() noexcept {
-    for (int len = dt::kMinMatch; len <= dt::kMaxMatch; ++len) {
-      code[static_cast<std::size_t>(len - dt::kMinMatch)] =
-          static_cast<std::uint8_t>(dt::length_to_code(len));
-    }
-  }
-};
-const LengthCodeLut kLenLut;
-
-int length_code_of(int len) noexcept {
-  return kLenLut.code[static_cast<std::size_t>(len - dt::kMinMatch)];
-}
-
 /// RLE instruction for the code-length code (RFC 1951 3.2.7).
 struct ClcSymbol {
   std::uint8_t symbol;  ///< 0..18
@@ -99,7 +83,7 @@ BlockFreqs count_frequencies(std::span<const Lz77Token> tokens) {
   BlockFreqs f;
   for (const Lz77Token& t : tokens) {
     if (t.is_match()) {
-      ++f.litlen[static_cast<std::size_t>(257 + length_code_of(t.length()))];
+      ++f.litlen[static_cast<std::size_t>(257 + dt::length_to_code(t.length()))];
       ++f.dist[static_cast<std::size_t>(dt::dist_to_code(t.distance()))];
     } else {
       ++f.litlen[t.literal_byte()];
@@ -126,24 +110,30 @@ std::uint64_t data_cost_bits(const BlockFreqs& f, std::span<const std::uint8_t> 
   return bits;
 }
 
-/// Emits the token data with the given codes, ending with EOB.
+/// Emits the token data with the given codes, ending with EOB. A match
+/// goes out as two writes: length code plus its extra bits (<= 20 bits),
+/// then distance code plus its extra bits (<= 28 bits).
 void emit_tokens(BitWriter& bw, std::span<const Lz77Token> tokens, const BlockCodes& codes) {
+  const std::uint16_t* lit_code = codes.litlen.reversed.data();
+  const std::uint8_t* lit_len = codes.litlen.lengths.data();
+  const std::uint16_t* dist_code = codes.dist.reversed.data();
+  const std::uint8_t* dist_len = codes.dist.lengths.data();
   for (const Lz77Token& t : tokens) {
     if (t.is_match()) {
-      const int lc = length_code_of(t.length());
-      codes.litlen.emit(bw, 257 + lc);
+      const int length = t.length();
+      const int lc = dt::length_to_code(length);
       const auto& le = dt::kLengthCodes[static_cast<std::size_t>(lc)];
-      if (le.extra > 0) {
-        bw.put(static_cast<std::uint32_t>(t.length() - le.base), le.extra);
-      }
-      const int dc = dt::dist_to_code(t.distance());
-      codes.dist.emit(bw, dc);
-      const auto& de = dt::kDistCodes[static_cast<std::size_t>(dc)];
-      if (de.extra > 0) {
-        bw.put(static_cast<std::uint32_t>(t.distance() - de.base), de.extra);
-      }
+      const auto sym = static_cast<std::size_t>(257 + lc);
+      bw.put_bits(lit_code[sym] | (static_cast<std::uint32_t>(length - le.base) << lit_len[sym]),
+                  lit_len[sym] + le.extra);
+      const int distance = t.distance();
+      const auto dc = static_cast<std::size_t>(dt::dist_to_code(distance));
+      const auto& de = dt::kDistCodes[dc];
+      bw.put_bits(dist_code[dc] | (static_cast<std::uint32_t>(distance - de.base) << dist_len[dc]),
+                  dist_len[dc] + de.extra);
     } else {
-      codes.litlen.emit(bw, t.literal_byte());
+      const std::uint8_t b = t.literal_byte();
+      bw.put_bits(lit_code[b], lit_len[b]);
     }
   }
   codes.litlen.emit(bw, dt::kEndOfBlock);
@@ -245,9 +235,7 @@ void emit_stored_blocks(BitWriter& bw, std::span<const std::byte> raw, bool fina
     const auto len = static_cast<std::uint16_t>(take);
     bw.put(len, 16);
     bw.put(static_cast<std::uint16_t>(~len), 16);
-    for (std::size_t i = 0; i < take; ++i) {
-      bw.put(static_cast<std::uint8_t>(raw[off + i]), 8);
-    }
+    bw.write_aligned(raw.subspan(off, take));
     off += take;
   } while (off < raw.size());
 }
@@ -358,8 +346,14 @@ void read_dynamic_tables(BitReader& br, std::vector<std::uint8_t>& litlen_length
 }  // namespace
 
 Bytes deflate_decompress(std::span<const std::byte> input, std::size_t size_hint) {
-  Bytes out;
-  out.reserve(size_hint);
+  // The output is written through an index into a buffer presized to the
+  // hint (else to a guess) that grows geometrically and is trimmed to the
+  // decoded size at the end.
+  Bytes out(size_hint > 0 ? size_hint : 2 * input.size() + 64);
+  std::size_t n = 0;
+  const auto make_room = [&out, &n](std::size_t extra) {
+    if (out.size() - n < extra) out.resize(std::max(2 * out.size(), n + extra));
+  };
   BitReader br(input);
 
   static const auto kFixedLit = dt::fixed_litlen_lengths();
@@ -369,17 +363,17 @@ Bytes deflate_decompress(std::span<const std::byte> input, std::size_t size_hint
 
   bool final_block = false;
   while (!final_block) {
-    final_block = br.get(1) != 0;
-    const std::uint32_t btype = br.get(2);
+    final_block = br.get_bits(1) != 0;
+    const std::uint32_t btype = br.get_bits(2);
 
     if (btype == 0b00) {  // stored
       br.align_to_byte();
-      const std::uint32_t len = br.get(16);
-      const std::uint32_t nlen = br.get(16);
+      const std::uint32_t len = br.get_bits(16);
+      const std::uint32_t nlen = br.get_bits(16);
       if ((len ^ nlen) != 0xFFFFu) throw FormatError("stored block LEN/NLEN mismatch");
-      const std::size_t pos = out.size();
-      out.resize(pos + len);
-      br.read_aligned(out.data() + pos, len);
+      make_room(len);
+      br.read_aligned(out.data() + n, len);
+      n += len;
       continue;
     }
     if (btype == 0b11) throw FormatError("reserved block type 11");
@@ -401,28 +395,32 @@ Bytes deflate_decompress(std::span<const std::byte> input, std::size_t size_hint
     for (;;) {
       const int sym = lit_dec->decode(br);
       if (sym < 256) {
-        out.push_back(static_cast<std::byte>(sym));
-      } else if (sym == dt::kEndOfBlock) {
-        break;
-      } else {
-        if (sym > 285) throw FormatError("invalid length symbol");
-        const auto& le = dt::kLengthCodes[static_cast<std::size_t>(sym - 257)];
-        const int len = le.base + static_cast<int>(br.get(le.extra));
-        const int dsym = dist_dec->decode(br);
-        if (dsym > 29) throw FormatError("invalid distance symbol");
-        const auto& de = dt::kDistCodes[static_cast<std::size_t>(dsym)];
-        const int dist = de.base + static_cast<int>(br.get(de.extra));
-        if (static_cast<std::size_t>(dist) > out.size()) {
-          throw FormatError("distance reaches before start of output");
-        }
-        // Overlapped copy semantics: byte-by-byte from `dist` back.
-        const std::size_t start = out.size() - static_cast<std::size_t>(dist);
-        for (int i = 0; i < len; ++i) {
-          out.push_back(out[start + static_cast<std::size_t>(i)]);
-        }
+        make_room(1);
+        out[n++] = static_cast<std::byte>(sym);
+        continue;
       }
+      if (sym == dt::kEndOfBlock) break;
+      if (sym > 285) throw FormatError("invalid length symbol");
+      const auto& le = dt::kLengthCodes[static_cast<std::size_t>(sym - 257)];
+      const std::size_t len = le.base + br.get_bits(le.extra);
+      const int dsym = dist_dec->decode(br);
+      if (dsym > 29) throw FormatError("invalid distance symbol");
+      const auto& de = dt::kDistCodes[static_cast<std::size_t>(dsym)];
+      const std::size_t dist = de.base + br.get_bits(de.extra);
+      if (dist > n) throw FormatError("distance reaches before start of output");
+      make_room(len);
+      std::byte* dst = out.data() + n;
+      const std::byte* src = dst - dist;
+      if (dist >= len) {
+        std::memcpy(dst, src, len);
+      } else {
+        // Overlapped copy semantics: byte by byte from `dist` back.
+        for (std::size_t i = 0; i < len; ++i) dst[i] = src[i];
+      }
+      n += len;
     }
   }
+  out.resize(n);
   return out;
 }
 

@@ -28,7 +28,8 @@ struct DeflateOptions {
                                      const DeflateOptions& options = {});
 
 /// Decompresses a raw DEFLATE stream. Throws FormatError on malformed
-/// input. `size_hint` pre-reserves the output buffer.
+/// input. `size_hint`, the decoded size when the caller knows it,
+/// presizes the output buffer.
 [[nodiscard]] Bytes deflate_decompress(std::span<const std::byte> input,
                                        std::size_t size_hint = 0);
 

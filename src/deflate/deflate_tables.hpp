@@ -4,6 +4,7 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace wck::deflate_tables {
@@ -54,10 +55,10 @@ inline constexpr std::array<DistCode, 30> kDistCodes = {{
 inline constexpr std::array<std::uint8_t, kNumClc> kClcOrder = {
     16, 17, 18, 0, 8, 7, 9, 6, 10, 5, 11, 4, 12, 3, 13, 2, 14, 1, 15};
 
-/// Maps a match length (3..258) to its length code index (0..28, i.e.
-/// symbol 257+index).
-[[nodiscard]] constexpr int length_to_code(int len) noexcept {
-  // Scan is fine: called through a precomputed LUT in hot paths.
+namespace detail {
+
+/// Scans for the length code of `len`; only used to build kLengthCodeLut.
+constexpr int scan_length_code(int len) noexcept {
   for (int c = 28; c >= 0; --c) {
     if (len >= kLengthCodes[static_cast<std::size_t>(c)].base) {
       // Code 28 (length 258) has base 258 but code 27's range reaches 257.
@@ -68,12 +69,49 @@ inline constexpr std::array<std::uint8_t, kNumClc> kClcOrder = {
   return 0;
 }
 
-/// Maps a match distance (1..32768) to its distance code index (0..29).
-[[nodiscard]] constexpr int dist_to_code(int dist) noexcept {
+/// Scans for the distance code of `dist`; only used to build kDistCodeLut.
+constexpr int scan_dist_code(int dist) noexcept {
   for (int c = 29; c >= 0; --c) {
     if (dist >= kDistCodes[static_cast<std::size_t>(c)].base) return c;
   }
   return 0;
+}
+
+/// Length code per match length, indexed by length - 3.
+inline constexpr std::array<std::uint8_t, 256> kLengthCodeLut = [] {
+  std::array<std::uint8_t, 256> t{};
+  for (int len = kMinMatch; len <= kMaxMatch; ++len) {
+    t[static_cast<std::size_t>(len - kMinMatch)] = static_cast<std::uint8_t>(scan_length_code(len));
+  }
+  return t;
+}();
+
+/// zlib's 512-entry distance-code table: entry d-1 for d <= 256, entry
+/// 256 + ((d-1) >> 7) above. Every code from 16 up starts at a base
+/// with base-1 a multiple of 128, so the coarse half is exact.
+inline constexpr std::array<std::uint8_t, 512> kDistCodeLut = [] {
+  std::array<std::uint8_t, 512> t{};
+  for (int d = 1; d <= 256; ++d) {
+    t[static_cast<std::size_t>(d - 1)] = static_cast<std::uint8_t>(scan_dist_code(d));
+  }
+  for (int k = 0; k < 256; ++k) {
+    t[static_cast<std::size_t>(256 + k)] = static_cast<std::uint8_t>(scan_dist_code(k * 128 + 1));
+  }
+  return t;
+}();
+
+}  // namespace detail
+
+/// Maps a match length (3..258) to its length code index (0..28, i.e.
+/// symbol 257+index).
+[[nodiscard]] constexpr int length_to_code(int len) noexcept {
+  return detail::kLengthCodeLut[static_cast<std::size_t>(len - kMinMatch)];
+}
+
+/// Maps a match distance (1..32768) to its distance code index (0..29).
+[[nodiscard]] constexpr int dist_to_code(int dist) noexcept {
+  const auto d = static_cast<std::size_t>(dist - 1);
+  return detail::kDistCodeLut[d < 256 ? d : 256 + (d >> 7)];
 }
 
 /// Fixed Huffman literal/length code lengths (RFC 1951 3.2.6).

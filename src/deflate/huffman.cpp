@@ -3,22 +3,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <string>
+#include <utility>
 
 #include "util/error.hpp"
 
 namespace wck {
-namespace {
-
-/// A node in the package-merge coin lists: a weight plus the multiset of
-/// leaf symbols it contains (alphabets are small — at most 288 symbols —
-/// so storing symbol lists explicitly is cheap and keeps the algorithm
-/// literal).
-struct PmNode {
-  std::uint64_t weight = 0;
-  std::vector<std::uint16_t> symbols;
-};
-
-}  // namespace
 
 std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freqs,
                                              int max_length) {
@@ -41,49 +30,59 @@ std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freq
 
   // Package-merge (coin collector): leaves sorted by weight form the
   // denomination list at every level; each level pairs adjacent nodes of
-  // the previous level into packages and merges them with the leaves.
-  std::vector<PmNode> leaves;
+  // the previous level into packages and merges them with the leaves
+  // (a leaf goes first on equal weight).
+  struct Leaf {
+    std::uint64_t weight;
+    std::uint16_t symbol;
+  };
+  std::vector<Leaf> leaves;
   leaves.reserve(used.size());
-  for (const std::uint16_t s : used) {
-    leaves.push_back(PmNode{freqs[s], {s}});
-  }
+  for (const std::uint16_t s : used) leaves.push_back(Leaf{freqs[s], s});
   std::sort(leaves.begin(), leaves.end(),
-            [](const PmNode& a, const PmNode& b) { return a.weight < b.weight; });
+            [](const Leaf& a, const Leaf& b) { return a.weight < b.weight; });
 
-  std::vector<PmNode> prev = leaves;
-  for (int level = 1; level < max_length; ++level) {
-    // Pair adjacent nodes of `prev` into packages.
-    std::vector<PmNode> packages;
-    packages.reserve(prev.size() / 2);
-    for (std::size_t i = 0; i + 1 < prev.size(); i += 2) {
-      PmNode pkg;
-      pkg.weight = prev[i].weight + prev[i + 1].weight;
-      pkg.symbols = prev[i].symbols;
-      pkg.symbols.insert(pkg.symbols.end(), prev[i + 1].symbols.begin(),
-                         prev[i + 1].symbols.end());
-      packages.push_back(std::move(pkg));
-    }
-    // Merge packages with the fresh leaf list (both sorted by weight).
-    std::vector<PmNode> cur;
-    cur.reserve(leaves.size() + packages.size());
+  // Each level's list is kept as weights plus a package flag per node.
+  // Packages are cut from the previous list in order and merged in order,
+  // so the first p packages of a list are built from exactly the first 2p
+  // nodes of the list below; which symbols a node holds never needs to be
+  // stored.
+  const auto levels = static_cast<std::size_t>(max_length);
+  std::vector<std::vector<std::uint8_t>> is_package(levels);
+  std::vector<std::uint64_t> prev;
+  prev.reserve(2 * leaves.size());
+  for (const Leaf& leaf : leaves) prev.push_back(leaf.weight);
+  is_package[0].assign(prev.size(), 0);
+  std::vector<std::uint64_t> cur;
+  cur.reserve(2 * leaves.size());
+  for (std::size_t level = 1; level < levels; ++level) {
+    cur.clear();
+    std::vector<std::uint8_t>& flags = is_package[level];
+    flags.reserve(leaves.size() + prev.size() / 2);
+    const std::size_t packages = prev.size() / 2;
     std::size_t li = 0;
     std::size_t pi = 0;
-    while (li < leaves.size() || pi < packages.size()) {
-      const bool take_leaf =
-          pi >= packages.size() ||
-          (li < leaves.size() && leaves[li].weight <= packages[pi].weight);
-      cur.push_back(take_leaf ? leaves[li++] : std::move(packages[pi++]));
+    while (li < leaves.size() || pi < packages) {
+      const std::uint64_t package = pi < packages ? prev[2 * pi] + prev[2 * pi + 1] : 0;
+      const bool take_leaf = pi >= packages || (li < leaves.size() && leaves[li].weight <= package);
+      cur.push_back(take_leaf ? leaves[li++].weight : package);
+      flags.push_back(take_leaf ? 0 : 1);
+      if (!take_leaf) ++pi;
     }
-    prev = std::move(cur);
+    std::swap(prev, cur);
   }
 
   // The first 2*(n_used - 1) nodes of the final list are the solution;
-  // each symbol's code length equals the number of nodes containing it.
-  const std::size_t take = 2 * (used.size() - 1);
-  for (std::size_t i = 0; i < take; ++i) {
-    for (const std::uint16_t s : prev[i].symbols) {
-      ++lengths[s];
-    }
+  // each symbol's code length equals the number of chosen nodes holding
+  // it. Walk down: the leaves among a level's chosen prefix are the
+  // lightest leaves, and its packages choose the prefix one level below.
+  std::size_t take = 2 * (used.size() - 1);
+  for (std::size_t level = levels; level-- > 0;) {
+    const std::vector<std::uint8_t>& flags = is_package[level];
+    std::size_t packages = 0;
+    for (std::size_t i = 0; i < take; ++i) packages += flags[i];
+    for (std::size_t j = 0; j < take - packages; ++j) ++lengths[leaves[j].symbol];
+    take = 2 * packages;
   }
   return lengths;
 }
@@ -92,6 +91,7 @@ CanonicalCode CanonicalCode::from_lengths(std::span<const std::uint8_t> lengths)
   CanonicalCode cc;
   cc.lengths.assign(lengths.begin(), lengths.end());
   cc.codes.assign(lengths.size(), 0);
+  cc.reversed.assign(lengths.size(), 0);
 
   std::uint32_t bl_count[16] = {};
   int max_len = 0;
@@ -115,12 +115,14 @@ CanonicalCode CanonicalCode::from_lengths(std::span<const std::uint8_t> lengths)
       if (cc.codes[s] >= (1u << l)) {
         throw InvalidArgumentError("over-subscribed Huffman code lengths");
       }
+      cc.reversed[s] = static_cast<std::uint16_t>(BitWriter::reverse(cc.codes[s], l));
     }
   }
   return cc;
 }
 
-HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths, bool allow_incomplete) {
+HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths, bool allow_incomplete)
+    : fast_(std::size_t{1} << kFastBits) {
   std::size_t n_used = 0;
   for (const std::uint8_t l : lengths) {
     if (l > 15) throw FormatError("Huffman code length exceeds 15 bits");
@@ -168,7 +170,6 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths, bool allow
   // Fast table: index = next kFastBits of the stream (LSB-first). Codes
   // are MSB-first, so a code c of length l maps to all indices whose low
   // l bits equal reverse(c, l).
-  fast_.assign(std::size_t{1} << kFastBits, FastEntry{});
   for (int l = 1; l <= std::min(max_len_, kFastBits); ++l) {
     for (std::uint32_t k = 0; k < count_[l]; ++k) {
       const std::uint32_t c = first_code_[l] + k;
@@ -182,20 +183,17 @@ HuffmanDecoder::HuffmanDecoder(std::span<const std::uint8_t> lengths, bool allow
   }
 }
 
-int HuffmanDecoder::decode(BitReader& br) const {
+int HuffmanDecoder::decode_slow(BitReader& br) const {
   if (max_len_ == 0) throw FormatError("decode with empty Huffman code");
-  const std::uint32_t window = br.peek(kFastBits);
-  const FastEntry& fe = fast_[window];
-  if (fe.symbol >= 0) {
-    br.consume(fe.length);
-    return fe.symbol;
-  }
-  // Slow path: canonical walk, one bit (MSB-first code bit) at a time.
-  // Re-read from scratch: consume bits as we walk.
+  // Canonical walk over the peeked bits, one MSB-first code bit at a
+  // time; bits past the end of the stream read as zero, and consuming
+  // them throws.
+  const std::uint32_t window = br.peek_bits(max_len_);
   std::uint32_t code = 0;
   for (int l = 1; l <= max_len_; ++l) {
-    code = (code << 1) | br.get(1);
+    code = (code << 1) | ((window >> (l - 1)) & 1u);
     if (count_[l] != 0 && code >= first_code_[l] && code < first_code_[l] + count_[l]) {
+      br.drop_bits(l);
       return sym_by_code_[first_index_[l] + (code - first_code_[l])];
     }
   }

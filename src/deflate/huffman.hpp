@@ -23,25 +23,26 @@ namespace wck {
 /// Canonical Huffman codes derived from code lengths, following the
 /// RFC 1951 assignment (shorter codes first; ties broken by symbol order).
 struct CanonicalCode {
-  std::vector<std::uint16_t> codes;   ///< MSB-first code bits per symbol.
-  std::vector<std::uint8_t> lengths;  ///< 0 = symbol absent.
+  std::vector<std::uint16_t> codes;     ///< MSB-first code bits per symbol.
+  std::vector<std::uint16_t> reversed;  ///< `codes` bit-reversed: stream order.
+  std::vector<std::uint8_t> lengths;    ///< 0 = symbol absent.
 
   [[nodiscard]] static CanonicalCode from_lengths(std::span<const std::uint8_t> lengths);
 
   /// Writes the code for `symbol` (must be present) to the bit stream.
   void emit(BitWriter& bw, int symbol) const {
-    bw.put_huffman(codes[static_cast<std::size_t>(symbol)],
-                   lengths[static_cast<std::size_t>(symbol)]);
+    const auto s = static_cast<std::size_t>(symbol);
+    bw.put_bits(reversed[s], lengths[s]);
   }
 };
 
 /// Decodes canonical Huffman codes from an LSB-first DEFLATE bit stream.
 ///
 /// Uses a single-level lookup table for codes up to kFastBits and a
-/// canonical bit-by-bit walk for longer codes.
+/// canonical walk over the peeked bits for longer codes.
 class HuffmanDecoder {
  public:
-  static constexpr int kFastBits = 10;
+  static constexpr int kFastBits = 11;
 
   /// Builds a decoder from per-symbol code lengths.
   ///
@@ -52,7 +53,14 @@ class HuffmanDecoder {
 
   /// Reads one symbol from the stream. Throws FormatError on an invalid
   /// code or truncated stream.
-  [[nodiscard]] int decode(BitReader& br) const;
+  [[nodiscard]] int decode(BitReader& br) const {
+    const FastEntry fe = fast_[br.peek_bits(kFastBits)];
+    if (fe.symbol >= 0) {
+      br.drop_bits(fe.length);
+      return fe.symbol;
+    }
+    return decode_slow(br);
+  }
 
   [[nodiscard]] int max_length() const noexcept { return max_len_; }
 
@@ -62,7 +70,9 @@ class HuffmanDecoder {
     std::uint8_t length = 0;
   };
 
-  std::vector<FastEntry> fast_;           ///< 2^kFastBits entries.
+  [[nodiscard]] int decode_slow(BitReader& br) const;
+
+  std::vector<FastEntry> fast_;           ///< 2^kFastBits entries, even for an empty code.
   std::vector<std::uint16_t> sym_by_code_;  ///< symbols sorted by (len, symbol).
   std::uint32_t first_code_[16] = {};     ///< first canonical code of each length.
   std::uint32_t first_index_[16] = {};    ///< index into sym_by_code_ per length.

@@ -75,12 +75,15 @@ Bytes huffman_only_decompress(std::span<const std::byte> input) {
   // allow_incomplete: a single-symbol input yields a one-code tree.
   const HuffmanDecoder decoder{std::span<const std::uint8_t>(lengths), /*allow_incomplete=*/true};
 
-  Bytes out;
-  out.reserve(size);
-  BitReader br(input.subspan(r.position()));
-  for (std::uint64_t i = 0; i < size; ++i) {
-    out.push_back(static_cast<std::byte>(decoder.decode(br)));
+  // Every code is at least 1 bit long, which bounds the size a stream of
+  // this length can claim before the output buffer is allocated.
+  const auto body = input.subspan(r.position());
+  if (size > 8 * static_cast<std::uint64_t>(body.size())) {
+    throw FormatError("huffman-only: size exceeds what the stream can code");
   }
+  Bytes out(static_cast<std::size_t>(size));
+  BitReader br(body);
+  for (std::byte& b : out) b = static_cast<std::byte>(decoder.decode(br));
   return out;
 }
 

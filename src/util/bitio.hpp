@@ -3,8 +3,10 @@
 // bit of each byte).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,7 +15,10 @@
 
 namespace wck {
 
-/// Writes bits LSB-first into a growing byte buffer.
+/// Writes bits LSB-first into a growing byte buffer. Bits collect in a
+/// 64-bit accumulator that is appended to the buffer a whole word at a
+/// time: up to 63 written bits are pending until align_to_byte() or
+/// write_aligned() flushes them.
 class BitWriter {
  public:
   explicit BitWriter(std::vector<std::byte>& out) : out_(out) {}
@@ -25,12 +30,19 @@ class BitWriter {
   void put(std::uint32_t bits, int count) {
     check_count(count);
     if (count == 0) return;
-    acc_ |= static_cast<std::uint64_t>(bits & mask(count)) << nbits_;
+    put_bits(bits & mask(count), count);
+  }
+
+  /// put() without the range check, for encoder loops whose widths come
+  /// from code tables. Preconditions: 0 <= count <= 32, bits < 2^count.
+  void put_bits(std::uint32_t bits, int count) {
+    acc_ |= static_cast<std::uint64_t>(bits) << nbits_;
     nbits_ += count;
-    while (nbits_ >= 8) {
-      out_.push_back(static_cast<std::byte>(acc_ & 0xFFu));
-      acc_ >>= 8;
-      nbits_ -= 8;
+    if (nbits_ >= 64) {
+      append_word(acc_);
+      nbits_ -= 64;
+      // The bits that did not fit above bit 63; the shift is 1..32.
+      acc_ = static_cast<std::uint64_t>(bits) >> (count - nbits_);
     }
   }
 
@@ -38,17 +50,29 @@ class BitWriter {
   /// the code bits must be reversed before LSB-first packing.
   void put_huffman(std::uint32_t code, int length) { put(reverse(code, length), length); }
 
-  /// Pads with zero bits to the next byte boundary.
+  /// Pads with zero bits to the next byte boundary and flushes every
+  /// pending byte into the buffer.
   void align_to_byte() {
-    if (nbits_ > 0) {
+    nbits_ = (nbits_ + 7) & ~7;
+    for (; nbits_ > 0; nbits_ -= 8) {
       out_.push_back(static_cast<std::byte>(acc_ & 0xFFu));
-      acc_ = 0;
-      nbits_ = 0;
+      acc_ >>= 8;
     }
+    acc_ = 0;
   }
 
-  /// Number of bits written so far (including unflushed ones).
-  [[nodiscard]] std::size_t bit_count() const noexcept { return out_.size() * 8 + nbits_; }
+  /// Appends raw bytes; the stream must be byte-aligned. The write-side
+  /// mirror of BitReader::read_aligned (DEFLATE stored blocks).
+  void write_aligned(std::span<const std::byte> bytes) {
+    if (nbits_ % 8 != 0) throw InvalidArgumentError("write_aligned while not byte-aligned");
+    align_to_byte();
+    out_.insert(out_.end(), bytes.begin(), bytes.end());
+  }
+
+  /// Number of bits written so far (including pending ones).
+  [[nodiscard]] std::size_t bit_count() const noexcept {
+    return out_.size() * 8 + static_cast<std::size_t>(nbits_);
+  }
 
   /// Reverses the low `length` bits of `v`.
   [[nodiscard]] static std::uint32_t reverse(std::uint32_t v, int length) noexcept {
@@ -72,12 +96,22 @@ class BitWriter {
     return count >= 32 ? 0xFFFFFFFFu : ((1u << count) - 1u);
   }
 
+  void append_word(std::uint64_t word) {
+    std::byte bytes[8];
+    for (int i = 0; i < 8; ++i) bytes[i] = static_cast<std::byte>((word >> (8 * i)) & 0xFFu);
+    out_.insert(out_.end(), bytes, bytes + 8);
+  }
+
   std::vector<std::byte>& out_;
-  std::uint64_t acc_ = 0;
-  int nbits_ = 0;
+  std::uint64_t acc_ = 0;  ///< pending bits; bits at and above nbits_ are zero
+  int nbits_ = 0;          ///< 0..63
 };
 
 /// Reads bits LSB-first from a byte span. Throws FormatError past the end.
+///
+/// The bit buffer refills with one 64-bit load while at least 8 input
+/// bytes remain and byte by byte over the tail, so no read ever touches
+/// memory outside the span.
 class BitReader {
  public:
   explicit BitReader(std::span<const std::byte> data) : data_(data) {}
@@ -85,25 +119,37 @@ class BitReader {
   /// Reads `count` bits (0 <= count <= 32), LSB-first.
   [[nodiscard]] std::uint32_t get(int count) {
     check_count(count);
-    fill(count);
-    if (nbits_ < count) throw FormatError("bit stream truncated");
-    const auto v = static_cast<std::uint32_t>(acc_ & mask(count));
-    acc_ >>= count;
-    nbits_ -= count;
-    return v;
+    return get_bits(count);
   }
 
   /// Peeks up to `count` bits without consuming; if fewer remain, the
   /// missing high bits are zero. Used by table-driven Huffman decode.
   [[nodiscard]] std::uint32_t peek(int count) {
     check_count(count);
-    fill(count);
-    return static_cast<std::uint32_t>(acc_ & mask(count));
+    return peek_bits(count);
   }
 
   /// Consumes `count` bits previously peeked. Throws if not available.
   void consume(int count) {
     check_count(count);
+    drop_bits(count);
+  }
+
+  // get/peek/consume without the range check, for decoder loops whose
+  // widths come from code tables. Precondition: 0 <= count <= 32.
+
+  [[nodiscard]] std::uint32_t get_bits(int count) {
+    const std::uint32_t v = peek_bits(count);
+    drop_bits(count);
+    return v;
+  }
+
+  [[nodiscard]] std::uint32_t peek_bits(int count) noexcept {
+    if (nbits_ < count) refill();
+    return static_cast<std::uint32_t>(acc_ & mask(count));
+  }
+
+  void drop_bits(int count) {
     if (nbits_ < count) throw FormatError("bit stream truncated");
     acc_ >>= count;
     nbits_ -= count;
@@ -111,7 +157,7 @@ class BitReader {
 
   /// Number of whole bits still available.
   [[nodiscard]] std::size_t bits_remaining() const noexcept {
-    return nbits_ + 8 * (data_.size() - pos_);
+    return static_cast<std::size_t>(nbits_) + 8 * (data_.size() - pos_);
   }
 
   /// Discards buffered bits to realign on the next byte boundary.
@@ -131,12 +177,14 @@ class BitReader {
       --size;
     }
     if (size > data_.size() - pos_) throw FormatError("bit stream truncated (raw block)");
-    for (std::size_t i = 0; i < size; ++i) *out++ = data_[pos_ + i];
+    if (size > 0) std::memcpy(out, data_.data() + pos_, size);
     pos_ += size;
   }
 
   /// Byte offset of the next unread byte (after align_to_byte()).
-  [[nodiscard]] std::size_t byte_position() const noexcept { return pos_ - nbits_ / 8; }
+  [[nodiscard]] std::size_t byte_position() const noexcept {
+    return pos_ - static_cast<std::size_t>(nbits_ / 8);
+  }
 
  private:
   static void check_count(int count) {
@@ -146,8 +194,20 @@ class BitReader {
     }
   }
 
-  void fill(int want) noexcept {
-    while (nbits_ < want && pos_ < data_.size()) {
+  /// Tops the buffer up to at least 56 bits, or to every remaining bit.
+  void refill() noexcept {
+    if (data_.size() >= 8 && pos_ <= data_.size() - 8) {
+      std::uint64_t word;
+      std::memcpy(&word, data_.data() + pos_, 8);
+      if constexpr (std::endian::native == std::endian::big) word = __builtin_bswap64(word);
+      acc_ |= word << nbits_;
+      const int whole = (63 - nbits_) >> 3;  // bytes that fit entirely
+      pos_ += static_cast<std::size_t>(whole);
+      nbits_ += 8 * whole;
+      acc_ &= mask(nbits_);  // drop the partial byte; it is reloaded next time
+      return;
+    }
+    while (nbits_ < 56 && pos_ < data_.size()) {
       acc_ |= static_cast<std::uint64_t>(static_cast<std::uint8_t>(data_[pos_++])) << nbits_;
       nbits_ += 8;
     }
@@ -159,8 +219,8 @@ class BitReader {
 
   std::span<const std::byte> data_;
   std::size_t pos_ = 0;
-  std::uint64_t acc_ = 0;
-  int nbits_ = 0;
+  std::uint64_t acc_ = 0;  ///< buffered bits; bits at and above nbits_ are zero
+  int nbits_ = 0;          ///< 0..63
 };
 
 }  // namespace wck

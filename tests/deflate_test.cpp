@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <numeric>
 #include <string>
+#include <utility>
 
+#include "core/compressor.hpp"
+#include "core/synthetic.hpp"
 #include "deflate/deflate.hpp"
 #include "deflate/deflate_tables.hpp"
 #include "deflate/huffman.hpp"
+#include "deflate/huffman_only.hpp"
 #include "deflate/lz77.hpp"
 #include "util/bitio.hpp"
 #include "util/error.hpp"
@@ -144,7 +149,7 @@ TEST(Huffman, EncodeDecodeRoundTripAllSymbols) {
 
 TEST(Huffman, DecoderSlowPathForLongCodes) {
   // A skewed alphabet that produces codes longer than the fast-table
-  // width (10 bits) when limited to 15.
+  // width when limited to 15.
   std::vector<std::uint64_t> freqs(20);
   std::uint64_t f = 1;
   for (auto& v : freqs) {
@@ -152,7 +157,7 @@ TEST(Huffman, DecoderSlowPathForLongCodes) {
     f = f * 2 + 1;
   }
   const auto lengths = build_code_lengths(freqs, 15);
-  EXPECT_GT(*std::max_element(lengths.begin(), lengths.end()), 10);
+  EXPECT_GT(*std::max_element(lengths.begin(), lengths.end()), HuffmanDecoder::kFastBits);
 
   const auto cc = CanonicalCode::from_lengths(lengths);
   const HuffmanDecoder dec(lengths);
@@ -286,6 +291,197 @@ TEST(Lz77, MatchesRespectWindow) {
 }
 
 // ---------------------------------------------------------------------
+// Reference matcher: the byte-at-a-time engine the word-wise matcher
+// replaced (a chain link per input position, a byte-loop compare, a
+// one-byte quick reject, the lazy step's next search repeated). Its token
+// stream defines the output, so the engine must reproduce it exactly.
+// ---------------------------------------------------------------------
+
+class ReferenceMatcher {
+ public:
+  ReferenceMatcher(const std::uint8_t* data, std::size_t size, const Lz77Params& params)
+      : data_(data), size_(size), params_(params), head_(1u << 15, -1), prev_(size, -1) {}
+
+  void insert(std::size_t pos) {
+    if (pos + 3 > size_) return;
+    const std::uint32_t h = hash3(data_ + pos);
+    prev_[pos] = head_[h];
+    head_[h] = static_cast<std::int64_t>(pos);
+  }
+
+  int find(std::size_t pos, int* best_dist) const {
+    namespace dt = deflate_tables;
+    *best_dist = 0;
+    if (pos + dt::kMinMatch > size_) return 0;
+    const int limit = static_cast<int>(std::min<std::size_t>(dt::kMaxMatch, size_ - pos));
+    const std::size_t window_start = pos > dt::kWindowSize ? pos - dt::kWindowSize : 0;
+    int best_len = 0;
+    std::int64_t cand = head_[hash3(data_ + pos)];
+    int chain = params_.max_chain;
+    while (cand >= 0 && static_cast<std::size_t>(cand) >= window_start && chain-- > 0) {
+      const auto c = static_cast<std::size_t>(cand);
+      if (c < pos && (best_len == 0 || data_[c + best_len] == data_[pos + best_len])) {
+        int len = 0;
+        while (len < limit && data_[c + len] == data_[pos + len]) ++len;
+        if (len > best_len && len >= dt::kMinMatch) {
+          best_len = len;
+          *best_dist = static_cast<int>(pos - c);
+          if (best_len >= params_.nice_length || best_len == limit) break;
+        }
+      }
+      cand = prev_[c];
+    }
+    return best_len;
+  }
+
+ private:
+  static std::uint32_t hash3(const std::uint8_t* p) {
+    const std::uint32_t v = static_cast<std::uint32_t>(p[0]) |
+                            (static_cast<std::uint32_t>(p[1]) << 8) |
+                            (static_cast<std::uint32_t>(p[2]) << 16);
+    return (v * 2654435761u) >> (32 - 15);
+  }
+
+  const std::uint8_t* data_;
+  std::size_t size_;
+  Lz77Params params_;
+  std::vector<std::int64_t> head_;
+  std::vector<std::int64_t> prev_;
+};
+
+std::vector<Lz77Token> reference_lz77_parse(std::span<const std::byte> input,
+                                            const Lz77Params& params) {
+  std::vector<Lz77Token> tokens;
+  const auto* data = reinterpret_cast<const std::uint8_t*>(input.data());
+  const std::size_t size = input.size();
+  ReferenceMatcher matcher(data, size, params);
+  std::size_t pos = 0;
+  while (pos < size) {
+    int dist = 0;
+    const int len = matcher.find(pos, &dist);
+    if (len < 3) {
+      tokens.push_back(Lz77Token::literal(data[pos]));
+      matcher.insert(pos++);
+      continue;
+    }
+    std::size_t insert_from = pos;
+    if (len < params.lazy_threshold && pos + 1 < size) {
+      matcher.insert(pos);
+      int next_dist = 0;
+      if (matcher.find(pos + 1, &next_dist) > len) {
+        tokens.push_back(Lz77Token::literal(data[pos++]));
+        continue;
+      }
+      insert_from = pos + 1;
+    }
+    tokens.push_back(Lz77Token::match(len, dist));
+    for (std::size_t i = insert_from; i < pos + static_cast<std::size_t>(len); ++i) {
+      matcher.insert(i);
+    }
+    pos += static_cast<std::size_t>(len);
+  }
+  return tokens;
+}
+
+/// Index of the first differing token, or -1 when the streams are equal.
+std::ptrdiff_t first_token_difference(const std::vector<Lz77Token>& a,
+                                      const std::vector<Lz77Token>& b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool same = a[i].is_match() == b[i].is_match() &&
+                      (a[i].is_match() ? a[i].length() == b[i].length() &&
+                                             a[i].distance() == b[i].distance()
+                                       : a[i].literal_byte() == b[i].literal_byte());
+    if (!same) return static_cast<std::ptrdiff_t>(i);
+  }
+  return a.size() == b.size() ? -1 : static_cast<std::ptrdiff_t>(n);
+}
+
+/// `pattern` at offset 0 and again `gap` bytes later, random bytes
+/// between and after: the repeat is reachable only while gap <= 32768.
+Bytes repeat_at_distance(std::size_t gap) {
+  const Bytes pattern = make_bytes("distance-probe-0123456789");
+  Bytes b = random_bytes(gap + 4000, 77);
+  std::copy(pattern.begin(), pattern.end(), b.begin());
+  std::copy(pattern.begin(), pattern.end(), b.begin() + static_cast<std::ptrdiff_t>(gap));
+  return b;
+}
+
+/// Edge inputs for the matcher: tiny inputs, a match ending on the last
+/// byte, the window edge, runs past the maximum match, chains of
+/// deferred (lazy) matches, and inputs long enough to wrap the chain ring.
+std::vector<std::pair<std::string, Bytes>> matcher_edge_cases() {
+  std::vector<std::pair<std::string, Bytes>> cases;
+  cases.push_back({"len0", {}});
+  cases.push_back({"len1", make_bytes("a")});
+  cases.push_back({"len2", make_bytes("aa")});
+  cases.push_back({"len3", make_bytes("aaa")});
+  cases.push_back({"len4", make_bytes("aaaa")});
+  cases.push_back({"len4_distinct", make_bytes("abab")});
+  cases.push_back({"tail_match_short", make_bytes("abcdefgh-abcde")});
+  cases.push_back({"tail_match_7", make_bytes("0123456789abcdefXY0123456")});
+  cases.push_back({"tail_match_9", make_bytes("0123456789abcdefXY012345678")});
+  cases.push_back({"distance_32768", repeat_at_distance(32768)});
+  cases.push_back({"distance_32769", repeat_at_distance(32769)});
+  cases.push_back({"run_1000", make_bytes(std::string(1000, 'r'))});
+  cases.push_back({"run_259_then_text", make_bytes(std::string(259, 'q') + "qqxqq" +
+                                                   std::string(600, 'q'))});
+  cases.push_back({"lazy_chain", make_bytes("abc_bcde_cdefg_defghi_efghijk_abcdefghijk_"
+                                            "abc_bcde_cdefg_abcdefghijk")});
+  cases.push_back({"ring_wrap_structured", structured_bytes(200000, 31)});
+  Bytes mixed = structured_bytes(40000, 32);
+  const Bytes noise = random_bytes(50000, 33);
+  mixed.insert(mixed.end(), noise.begin(), noise.end());
+  const Bytes again = structured_bytes(40000, 32);
+  mixed.insert(mixed.end(), again.begin(), again.end());
+  cases.push_back({"ring_wrap_mixed", std::move(mixed)});
+  return cases;
+}
+
+TEST(Lz77Reference, TokenStreamsEqualReferenceAtEveryLevel) {
+  for (const auto& [name, data] : matcher_edge_cases()) {
+    for (int level = 1; level <= 9; ++level) {
+      SCOPED_TRACE(name + " level " + std::to_string(level));
+      const auto params = lz77_params_for_level(level);
+      const auto want = reference_lz77_parse(data, params);
+      const auto got = lz77_parse(data, params);
+      EXPECT_EQ(first_token_difference(want, got), -1);
+    }
+  }
+}
+
+TEST(Lz77Reference, EdgeCasesExerciseTheirEdges) {
+  const auto p6 = lz77_params_for_level(6);
+  auto has_match = [](const std::vector<Lz77Token>& tokens, auto pred) {
+    return std::any_of(tokens.begin(), tokens.end(),
+                       [&](const Lz77Token& t) { return t.is_match() && pred(t); });
+  };
+  // The window edge: distance 32768 is used, 32769 is out of reach.
+  EXPECT_TRUE(has_match(lz77_parse(repeat_at_distance(32768), p6),
+                        [](const Lz77Token& t) { return t.distance() == 32768; }));
+  EXPECT_FALSE(has_match(lz77_parse(repeat_at_distance(32769), p6),
+                         [](const Lz77Token& t) { return t.distance() > 32768; }));
+  // A match that ends exactly on the last input byte, shorter than 8.
+  const auto tail = lz77_parse(make_bytes("0123456789abcdefXY0123456"), p6);
+  ASSERT_TRUE(tail.back().is_match());
+  EXPECT_EQ(tail.back().length(), 7);
+  // The lazy step defers four times in a row: at offsets 30..33 each
+  // next position has a longer match, so they go out as literals and the
+  // 8-byte match "efghijk_" starts at 34.
+  const auto lazy = lz77_parse(make_bytes("abc_bcde_cdefg_defghi_efghijk_abcdefghijk_"), p6);
+  std::size_t pos = 0;
+  std::size_t i = 0;
+  for (; i < lazy.size() && pos < 30; ++i) {
+    pos += lazy[i].is_match() ? static_cast<std::size_t>(lazy[i].length()) : 1;
+  }
+  ASSERT_EQ(pos, 30u);
+  ASSERT_GE(lazy.size(), i + 5);
+  for (std::size_t k = i; k < i + 4; ++k) EXPECT_FALSE(lazy[k].is_match()) << k;
+  EXPECT_TRUE(lazy[i + 4].is_match());
+  EXPECT_EQ(lazy[i + 4].length(), 8);
+}
+
+// ---------------------------------------------------------------------
 // DEFLATE round trips
 // ---------------------------------------------------------------------
 
@@ -310,6 +506,182 @@ std::vector<RoundTripCase> round_trip_cases() {
   }
   cases.push_back({"all_byte_values", std::move(all)});
   return cases;
+}
+
+// ---------------------------------------------------------------------
+// Golden output: deflate bytes are part of every stored checkpoint, so
+// an engine change must reproduce them exactly at every level. The
+// digests below were recorded from the byte-at-a-time reference engine;
+// a mismatch prints the entry the current engine produces.
+// ---------------------------------------------------------------------
+
+/// FNV-1a 64-bit fingerprint of a byte stream.
+std::uint64_t fnv1a64(std::span<const std::byte> data) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const std::byte b : data) {
+    h ^= static_cast<std::uint8_t>(b);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// The formatted (pre-entropy) payload of `field` at production settings.
+Bytes formatted_payload(const NdArray<double>& field) {
+  CompressionParams params;
+  params.quantizer.divisions = 128;
+  params.entropy = EntropyMode::kNone;
+  params.threads = -1;
+  const Bytes stream = WaveletCompressor(params).compress(field).data;
+  return Bytes(stream.begin() + 1, stream.end());  // drop the entropy tag
+}
+
+struct GoldenEntry {
+  const char* id;
+  std::size_t size;
+  std::uint64_t digest;
+};
+
+std::vector<std::pair<std::string, Bytes>> golden_outputs() {
+  std::vector<std::pair<std::string, Bytes>> out;
+  const std::vector<RoundTripCase> cases = round_trip_cases();
+  for (const RoundTripCase& c : cases) {
+    for (int level = 1; level <= 9; ++level) {
+      out.emplace_back("deflate/" + std::string(c.name) + "/L" + std::to_string(level),
+                       deflate_compress(c.data, DeflateOptions{level}));
+    }
+    out.emplace_back("huffman_only/" + std::string(c.name), huffman_only_compress(c.data));
+  }
+  const Bytes fig9 = formatted_payload(make_temperature_field(Shape{1156, 82, 2}, 2015));
+  const Bytes noise = formatted_payload(make_random_field(Shape{1156, 82, 2}, 2015));
+  for (const auto& [name, payload] : {std::pair{"fig9", &fig9}, std::pair{"noise", &noise}}) {
+    out.emplace_back("payload/" + std::string(name), *payload);
+    for (const int level : {1, 6, 9}) {
+      out.emplace_back("deflate/" + std::string(name) + "/L" + std::to_string(level),
+                       deflate_compress(*payload, DeflateOptions{level}));
+    }
+    out.emplace_back("zlib/" + std::string(name), zlib_compress(*payload));
+    out.emplace_back("gzip/" + std::string(name), gzip_compress(*payload));
+    out.emplace_back("huffman_only/" + std::string(name), huffman_only_compress(*payload));
+  }
+  out.emplace_back("zlib/structured_large", zlib_compress(cases[6].data));
+  out.emplace_back("gzip/structured_large", gzip_compress(cases[6].data, DeflateOptions{9}));
+  return out;
+}
+
+// clang-format off
+constexpr GoldenEntry kGolden[] = {
+  {"deflate/empty/L1", 5, 0xdb1da3aeaa761262ull},
+  {"deflate/empty/L2", 5, 0xdb1da3aeaa761262ull},
+  {"deflate/empty/L3", 5, 0xdb1da3aeaa761262ull},
+  {"deflate/empty/L4", 5, 0xdb1da3aeaa761262ull},
+  {"deflate/empty/L5", 5, 0xdb1da3aeaa761262ull},
+  {"deflate/empty/L6", 5, 0xdb1da3aeaa761262ull},
+  {"deflate/empty/L7", 5, 0xdb1da3aeaa761262ull},
+  {"deflate/empty/L8", 5, 0xdb1da3aeaa761262ull},
+  {"deflate/empty/L9", 5, 0xdb1da3aeaa761262ull},
+  {"huffman_only/empty", 6, 0x8b890e658206844cull},
+  {"deflate/one_byte/L1", 3, 0x81cb35195c827b16ull},
+  {"deflate/one_byte/L2", 3, 0x81cb35195c827b16ull},
+  {"deflate/one_byte/L3", 3, 0x81cb35195c827b16ull},
+  {"deflate/one_byte/L4", 3, 0x81cb35195c827b16ull},
+  {"deflate/one_byte/L5", 3, 0x81cb35195c827b16ull},
+  {"deflate/one_byte/L6", 3, 0x81cb35195c827b16ull},
+  {"deflate/one_byte/L7", 3, 0x81cb35195c827b16ull},
+  {"deflate/one_byte/L8", 3, 0x81cb35195c827b16ull},
+  {"deflate/one_byte/L9", 3, 0x81cb35195c827b16ull},
+  {"huffman_only/one_byte", 7, 0x2910fc7bf5fa5d5cull},
+  {"deflate/short_text/L1", 16, 0x0f9e7381ab3fc66full},
+  {"deflate/short_text/L2", 16, 0x0f9e7381ab3fc66full},
+  {"deflate/short_text/L3", 16, 0x0f9e7381ab3fc66full},
+  {"deflate/short_text/L4", 16, 0x0f9e7381ab3fc66full},
+  {"deflate/short_text/L5", 16, 0x0f9e7381ab3fc66full},
+  {"deflate/short_text/L6", 16, 0x0f9e7381ab3fc66full},
+  {"deflate/short_text/L7", 16, 0x0f9e7381ab3fc66full},
+  {"deflate/short_text/L8", 16, 0x0f9e7381ab3fc66full},
+  {"deflate/short_text/L9", 16, 0x0f9e7381ab3fc66full},
+  {"huffman_only/short_text", 31, 0x5c631b2cf4faaab3ull},
+  {"deflate/all_same/L1", 113, 0xf650ea4809a2152cull},
+  {"deflate/all_same/L2", 113, 0xf650ea4809a2152cull},
+  {"deflate/all_same/L3", 113, 0xf650ea4809a2152cull},
+  {"deflate/all_same/L4", 113, 0xf650ea4809a2152cull},
+  {"deflate/all_same/L5", 113, 0xf650ea4809a2152cull},
+  {"deflate/all_same/L6", 113, 0xf650ea4809a2152cull},
+  {"deflate/all_same/L7", 113, 0xf650ea4809a2152cull},
+  {"deflate/all_same/L8", 113, 0xf650ea4809a2152cull},
+  {"deflate/all_same/L9", 113, 0xf650ea4809a2152cull},
+  {"huffman_only/all_same", 12636, 0x624ee99d1bfdfc3dull},
+  {"deflate/random_small/L1", 505, 0x9810a375df7d5c4aull},
+  {"deflate/random_small/L2", 505, 0x9810a375df7d5c4aull},
+  {"deflate/random_small/L3", 505, 0x9810a375df7d5c4aull},
+  {"deflate/random_small/L4", 505, 0x9810a375df7d5c4aull},
+  {"deflate/random_small/L5", 505, 0x9810a375df7d5c4aull},
+  {"deflate/random_small/L6", 505, 0x9810a375df7d5c4aull},
+  {"deflate/random_small/L7", 505, 0x9810a375df7d5c4aull},
+  {"deflate/random_small/L8", 505, 0x9810a375df7d5c4aull},
+  {"deflate/random_small/L9", 505, 0x9810a375df7d5c4aull},
+  {"huffman_only/random_small", 507, 0x564ac0636b7a4ca3ull},
+  {"deflate/random_large/L1", 300045, 0x1401fe02fda5e5fcull},
+  {"deflate/random_large/L2", 300045, 0x1401fe02fda5e5fcull},
+  {"deflate/random_large/L3", 300045, 0x1401fe02fda5e5fcull},
+  {"deflate/random_large/L4", 300045, 0x1401fe02fda5e5fcull},
+  {"deflate/random_large/L5", 300045, 0x1401fe02fda5e5fcull},
+  {"deflate/random_large/L6", 300045, 0x1401fe02fda5e5fcull},
+  {"deflate/random_large/L7", 300045, 0x1401fe02fda5e5fcull},
+  {"deflate/random_large/L8", 300045, 0x1401fe02fda5e5fcull},
+  {"deflate/random_large/L9", 300045, 0x1401fe02fda5e5fcull},
+  {"huffman_only/random_large", 300008, 0xf522e126f8b863cbull},
+  {"deflate/structured_large/L1", 29653, 0x3178eb71a2a42ad1ull},
+  {"deflate/structured_large/L2", 29556, 0x0cae6d93f739d8caull},
+  {"deflate/structured_large/L3", 27319, 0x5f992ca016a83e69ull},
+  {"deflate/structured_large/L4", 28961, 0x3b5a0e82df048758ull},
+  {"deflate/structured_large/L5", 27266, 0x17bead4044512403ull},
+  {"deflate/structured_large/L6", 24895, 0x8f4635564df3547full},
+  {"deflate/structured_large/L7", 23528, 0x8b1dc38ec15f3c48ull},
+  {"deflate/structured_large/L8", 22205, 0x8e7e97a3f900f154ull},
+  {"deflate/structured_large/L9", 21852, 0xfbffab6c4110fa78ull},
+  {"huffman_only/structured_large", 145740, 0x9f80266630e0adbbull},
+  {"deflate/all_byte_values/L1", 349, 0xcc07a9e4237653ccull},
+  {"deflate/all_byte_values/L2", 349, 0xcc07a9e4237653ccull},
+  {"deflate/all_byte_values/L3", 349, 0xcc07a9e4237653ccull},
+  {"deflate/all_byte_values/L4", 349, 0xcc07a9e4237653ccull},
+  {"deflate/all_byte_values/L5", 349, 0xcc07a9e4237653ccull},
+  {"deflate/all_byte_values/L6", 349, 0xcc07a9e4237653ccull},
+  {"deflate/all_byte_values/L7", 349, 0xcc07a9e4237653ccull},
+  {"deflate/all_byte_values/L8", 349, 0xcc07a9e4237653ccull},
+  {"deflate/all_byte_values/L9", 349, 0xcc07a9e4237653ccull},
+  {"huffman_only/all_byte_values", 10247, 0x605ecd1e1b74bf74ull},
+  {"payload/fig9", 544677, 0xa295bd1429b999d3ull},
+  {"deflate/fig9/L1", 413170, 0x7aa3cd5db82400d2ull},
+  {"deflate/fig9/L6", 407185, 0x462bba900009c4a9ull},
+  {"deflate/fig9/L9", 406491, 0xc9bc146067c3949dull},
+  {"zlib/fig9", 407191, 0x6c574dc01a61a18aull},
+  {"gzip/fig9", 407203, 0xe47f0d90691bed36ull},
+  {"huffman_only/fig9", 477583, 0xaa2702ad20d33e77ull},
+  {"payload/noise", 525189, 0x9eab79041e143474ull},
+  {"deflate/noise/L1", 487300, 0xf9a2dc96cd68dc9bull},
+  {"deflate/noise/L6", 486938, 0x41617c887bd49b24ull},
+  {"deflate/noise/L9", 486927, 0xa172adbce65dd9a1ull},
+  {"zlib/noise", 486944, 0x6467652c6aa1abf0ull},
+  {"gzip/noise", 486956, 0x0228a190e1947c3dull},
+  {"huffman_only/noise", 507419, 0x1a86a10f69ff0dd2ull},
+  {"zlib/structured_large", 24901, 0xf95af0449350c51bull},
+  {"gzip/structured_large", 21870, 0x29f832ed5bc51fe0ull},
+};
+// clang-format on
+
+TEST(GoldenOutput, EncoderBytesUnchanged) {
+  const auto outputs = golden_outputs();
+  ASSERT_EQ(outputs.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < outputs.size(); ++i) {
+    const auto& [id, bytes] = outputs[i];
+    const std::uint64_t digest = fnv1a64(bytes);
+    char line[160];
+    std::snprintf(line, sizeof(line), "{\"%s\", %zu, 0x%016llxull},", id.c_str(), bytes.size(),
+                  static_cast<unsigned long long>(digest));
+    EXPECT_EQ(id, kGolden[i].id) << line;
+    EXPECT_EQ(bytes.size(), kGolden[i].size) << line;
+    EXPECT_EQ(digest, kGolden[i].digest) << line;
+  }
 }
 
 TEST(Deflate, RoundTripAllCases) {

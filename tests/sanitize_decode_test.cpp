@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -15,7 +16,11 @@
 #include "core/compressor.hpp"
 #include "core/synthetic.hpp"
 #include "deflate/deflate.hpp"
+#include "deflate/deflate_tables.hpp"
+#include "deflate/huffman.hpp"
 #include "encode/payload.hpp"
+#include "util/bitio.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/mutate.hpp"
 #include "util/rng.hpp"
@@ -168,6 +173,100 @@ TEST(SanitizeDecode, RawDeflateMutationsNeverCrash) {
                << "): " << e.what();
       }
     }
+  }
+}
+
+/// The formatted (pre-entropy) payload of a Fig. 9 temperature field
+/// with `nx` cells along the first axis, at production settings.
+Bytes formatted_fig9_payload(std::size_t nx) {
+  CompressionParams params;
+  params.quantizer.divisions = 128;
+  params.entropy = EntropyMode::kNone;
+  params.threads = -1;
+  const Bytes stream =
+      WaveletCompressor(params).compress(make_temperature_field(Shape{nx, 82, 2}, 2015)).data;
+  return Bytes(stream.begin() + 1, stream.end());  // drop the entropy tag
+}
+
+/// Every truncation of a valid zlib stream is rejected with a typed error.
+/// Every single-bit flip is rejected with a typed error or decodes to
+/// bytes whose Adler-32 matches the trailer. Adler-32 is weak on small
+/// rearrangements, so a rare flip that decodes to other bytes with the
+/// same checksum is format-legal (the system zlib accepts it too); such
+/// flips are counted and must stay rare.
+void check_every_truncation_and_flip(const Bytes& stream, const Bytes& original) {
+  ASSERT_EQ(zlib_decompress(stream), original);
+  for (std::size_t n = 0; n < stream.size(); ++n) {
+    const Bytes prefix(stream.begin(), stream.begin() + static_cast<std::ptrdiff_t>(n));
+    EXPECT_THROW((void)zlib_decompress(prefix), Error) << "prefix length " << n;
+  }
+  Bytes bad = stream;
+  std::size_t collisions = 0;
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      bad[i] ^= static_cast<std::byte>(1u << bit);
+      try {
+        const Bytes out = zlib_decompress(bad);
+        const auto* t = bad.data() + bad.size() - 4;
+        const std::uint32_t trailer = (static_cast<std::uint32_t>(t[0]) << 24) |
+                                      (static_cast<std::uint32_t>(t[1]) << 16) |
+                                      (static_cast<std::uint32_t>(t[2]) << 8) |
+                                      static_cast<std::uint32_t>(t[3]);
+        EXPECT_EQ(adler32(out), trailer) << "flip at byte " << i << " bit " << bit;
+        if (out != original) ++collisions;
+      } catch (const Error&) {
+      } catch (const std::exception& e) {
+        FAIL() << "non-library exception, flip at byte " << i << " bit " << bit << ": "
+               << e.what();
+      }
+      bad[i] ^= static_cast<std::byte>(1u << bit);
+    }
+  }
+  EXPECT_LE(collisions, bad.size() * 8 / 1000) << collisions << " Adler-32 collisions";
+}
+
+/// The inflate bit reader refills 64 bits at a time while 8 input bytes
+/// remain and byte by byte after that. A level-6 stream of a (reduced)
+/// Fig. 9 payload, cut at every offset and flipped at every bit, drives
+/// both paths through every block structure deflate emits.
+TEST(SanitizeDecode, Fig9InflateEveryTruncationAndBitFlip) {
+  const Bytes payload = formatted_fig9_payload(12);
+  check_every_truncation_and_flip(zlib_compress(payload, DeflateOptions{6}), payload);
+}
+
+/// A stored block at the very end of the stream: its LEN/NLEN and raw
+/// bytes sit where the reader has just switched to byte-wise refills, and
+/// part of them may already be in the bit buffer when the raw copy starts.
+TEST(SanitizeDecode, StoredTailBlockEveryTruncationAndBitFlip) {
+  const Bytes payload = formatted_fig9_payload(12);
+  const Bytes head(payload.begin(), payload.begin() + 160);
+  for (std::size_t tail_len = 0; tail_len <= 9; ++tail_len) {
+    SCOPED_TRACE("stored tail of " + std::to_string(tail_len) + " bytes");
+    Bytes original = head;
+    for (std::size_t i = 0; i < tail_len; ++i) original.push_back(static_cast<std::byte>(0xA0 + i));
+
+    Bytes stream = {std::byte{0x78}, std::byte{0x9C}};  // zlib header, 32 KiB window
+    BitWriter bw(stream);
+    // Block 1, fixed Huffman, not final: the head as literals.
+    static const auto kFixedLit = deflate_tables::fixed_litlen_lengths();
+    const auto fixed = CanonicalCode::from_lengths(std::span(kFixedLit));
+    bw.put(0, 1);
+    bw.put(0b01, 2);
+    for (const std::byte b : head) fixed.emit(bw, static_cast<std::uint8_t>(b));
+    fixed.emit(bw, deflate_tables::kEndOfBlock);
+    // Block 2, stored, final: the tail.
+    bw.put(1, 1);
+    bw.put(0b00, 2);
+    bw.align_to_byte();
+    const auto len = static_cast<std::uint16_t>(tail_len);
+    bw.put(len, 16);
+    bw.put(static_cast<std::uint16_t>(~len), 16);
+    bw.write_aligned(std::span(original).subspan(head.size()));
+    const std::uint32_t adler = adler32(original);
+    for (const int shift : {24, 16, 8, 0}) bw.put((adler >> shift) & 0xFFu, 8);
+    bw.align_to_byte();
+
+    check_every_truncation_and_flip(stream, original);
   }
 }
 

@@ -236,6 +236,7 @@ TEST(BitIo, AlignedRawReadAfterBits) {
   bw.align_to_byte();
   bw.put(0xAB, 8);
   bw.put(0xCD, 8);
+  bw.align_to_byte();  // flushes the pending bytes
 
   BitReader br(buf);
   EXPECT_EQ(br.get(1), 1u);
@@ -244,6 +245,60 @@ TEST(BitIo, AlignedRawReadAfterBits) {
   br.read_aligned(out, 2);
   EXPECT_EQ(static_cast<unsigned>(out[0]), 0xABu);
   EXPECT_EQ(static_cast<unsigned>(out[1]), 0xCDu);
+}
+
+/// Random (value, width) fields, written with put() and read back with
+/// get(), on buffers of every length up to 40 bytes: crosses the writer's
+/// 64-bit flush at every offset and the reader's switch from whole-word
+/// refills to the byte-wise tail.
+TEST(BitIo, FieldsRoundTripAcrossWordAndTailBoundaries) {
+  Xoshiro256 rng(99);
+  for (int trial = 0; trial < 400; ++trial) {
+    std::vector<std::pair<std::uint32_t, int>> fields;
+    Bytes buf;
+    BitWriter bw(buf);
+    const std::size_t target_bits = rng.bounded(320);
+    std::size_t bits = 0;
+    while (bits < target_bits) {
+      const int width = static_cast<int>(rng.bounded(33));
+      const auto value = static_cast<std::uint32_t>(rng()) &
+                         (width == 32 ? 0xFFFFFFFFu : (1u << width) - 1u);
+      bw.put(value, width);
+      fields.emplace_back(value, width);
+      bits += static_cast<std::size_t>(width);
+      ASSERT_EQ(bw.bit_count(), bits);
+    }
+    bw.align_to_byte();
+    ASSERT_EQ(buf.size(), (bits + 7) / 8);
+
+    BitReader br(buf);
+    for (const auto& [value, width] : fields) ASSERT_EQ(br.get(width), value);
+    EXPECT_LT(br.bits_remaining(), 8u);
+    EXPECT_THROW((void)br.get(8), FormatError);
+  }
+}
+
+TEST(BitIo, WriteAlignedMirrorsReadAligned) {
+  Bytes buf;
+  BitWriter bw(buf);
+  bw.put(0b101, 3);
+  const Bytes raw = {std::byte{0x11}, std::byte{0x22}, std::byte{0x33}};
+  EXPECT_THROW(bw.write_aligned(raw), InvalidArgumentError);
+  bw.align_to_byte();
+  bw.put(0xBEEF, 16);
+  bw.write_aligned(raw);
+  bw.put(1, 1);
+  bw.align_to_byte();
+  ASSERT_EQ(buf.size(), 1u + 2u + 3u + 1u);
+
+  BitReader br(buf);
+  EXPECT_EQ(br.get(3), 0b101u);
+  br.align_to_byte();
+  EXPECT_EQ(br.get(16), 0xBEEFu);
+  std::byte back[3];
+  br.read_aligned(back, 3);
+  EXPECT_EQ(Bytes(back, back + 3), raw);
+  EXPECT_EQ(br.get(1), 1u);
 }
 
 TEST(Rng, DeterministicForSeed) {
