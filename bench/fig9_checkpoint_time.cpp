@@ -30,9 +30,8 @@ int main(int argc, char** argv) {
   const auto nz = static_cast<std::size_t>(args.get_int("nz", 2));
   const double bandwidth = args.get_double("bandwidth-gbs", 20.0) * 1e9;
   const int repeats = static_cast<int>(args.get_int("repeats", 5));
-  // --threads=N runs the gzip stage on the sharded parallel deflate
-  // engine (0 keeps the paper's serial implementation, unless
-  // WCK_THREADS overrides it — see src/deflate/parallel.hpp).
+  // --threads=N runs the gzip stage's segments on N workers (0 defers
+  // to WCK_THREADS, unset meaning 1 — see src/deflate/parallel.hpp).
   const int threads = static_cast<int>(args.get_int("threads", 0));
 
   print_header("Figure 9: overall checkpoint time vs parallelism",
@@ -110,8 +109,8 @@ int main(int argc, char** argv) {
   report.params["nz"] = std::to_string(nz);
   report.params["repeats"] = std::to_string(repeats);
   report.params["bandwidth_gbs"] = fmt("%.1f", bandwidth / 1e9);
-  // Only stamp the param when parallel deflate is on: the serial run
-  // must keep the exact baseline params the regression gate matches on.
+  // Only stamp the param when it was given: the default run must keep
+  // the exact baseline params the regression gate matches on.
   if (threads != 0) report.params["threads"] = std::to_string(threads);
   report.original_bytes = field.size_bytes();
   report.compressed_bytes = compressed_bytes;

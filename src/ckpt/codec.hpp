@@ -75,10 +75,10 @@ class GzipCodec final : public Codec {
 };
 
 /// The paper's wavelet + quantization + encoding + gzip pipeline.
-/// CompressionParams::threads (or WCK_THREADS) switches the entropy
-/// stage to the sharded parallel deflate engine, so CheckpointManager
-/// and DistributedClimate checkpoints scale with cores through this
-/// codec without further plumbing.
+/// CompressionParams::threads (or WCK_THREADS) sets how many workers
+/// code the entropy stage's segments, so CheckpointManager and
+/// DistributedClimate checkpoints scale with cores through this codec
+/// without further plumbing.
 class WaveletLossyCodec final : public Codec {
  public:
   explicit WaveletLossyCodec(CompressionParams params = {})

@@ -24,8 +24,8 @@
 //
 // Parallelism: the manager is codec-agnostic; pass a WaveletLossyCodec
 // whose CompressionParams set threads (or export WCK_THREADS) and every
-// generation's entropy stage runs on the sharded parallel deflate
-// engine (src/deflate/parallel.hpp) with no manager changes.
+// generation's entropy stage codes its segments on that many workers
+// (src/deflate/parallel.hpp) with no manager changes.
 #pragma once
 
 #include <cstdint>

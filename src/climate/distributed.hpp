@@ -59,7 +59,7 @@ class DistributedClimate {
   /// routes the file I/O through that backend — handing each rank its
   /// own FaultInjectingBackend gives per-rank fault injection. With a
   /// WaveletLossyCodec whose params set threads (or WCK_THREADS), each
-  /// rank's entropy stage runs on the sharded parallel deflate engine.
+  /// rank's entropy stage codes its segments on that many workers.
   CheckpointInfo write_local_checkpoint(const std::filesystem::path& dir,
                                         const Codec& codec, IoBackend* io = nullptr) const;
 

@@ -28,9 +28,7 @@ CompressedArray chunked_compress(const NdArray<double>& input, const ChunkedPara
   }
   const std::size_t row_elems = input.size() / rows;
 
-  CompressionParams base = params.base;
-  if (params.threads != 0) base.threads = params.threads;
-  const WaveletCompressor compressor(base);
+  const WaveletCompressor compressor(params.base);
   std::vector<CompressedArray> parts(chunks);
   auto compress_chunk = [&](std::size_t c) {
     const std::size_t r0 = begin_row[c];

@@ -20,15 +20,12 @@
 namespace wck {
 
 struct ChunkedParams {
+  /// Per-slab parameters. Slab pipelines run on `pool` while each slab's
+  /// entropy segments fan out over the deflate engine's own shared pool
+  /// (base.threads workers), so the two levels compose without deadlock.
   CompressionParams base{};
   /// Number of axis-0 slabs; 0 = one per pool thread (min 1).
   std::size_t chunks = 0;
-  /// When nonzero, overrides base.threads for every slab's entropy stage
-  /// (the sharded deflate engine; see CompressionParams::threads). Slab
-  /// pipelines run on `pool` while their deflate shards fan out over the
-  /// engine's own shared pool, so the two levels compose without
-  /// deadlock. 0 keeps base.threads as-is.
-  int threads = 0;
 };
 
 /// Compresses `input` as independent slabs, in parallel on `pool` (pass

@@ -19,10 +19,10 @@ namespace wck {
 namespace {
 
 constexpr std::uint8_t kTagNone = 0;
-constexpr std::uint8_t kTagZlib = 1;
-constexpr std::uint8_t kTagGzip = 2;
+constexpr std::uint8_t kTagZlib = 1;  ///< decode only
+constexpr std::uint8_t kTagGzip = 2;  ///< decode only
 constexpr std::uint8_t kTagHuffman = 3;
-constexpr std::uint8_t kTagSharded = 4;  ///< WCKP block-parallel deflate container
+constexpr std::uint8_t kTagSharded = 4;  ///< WCKP segmented deflate container
 
 /// Writes `data` to `path`; throws IoError on failure.
 void write_file(const std::filesystem::path& path, std::span<const std::byte> data) {
@@ -52,6 +52,34 @@ std::filesystem::path unique_temp_path(const std::filesystem::path& dir,
   const auto base = dir.empty() ? std::filesystem::temp_directory_path() : dir;
   return base / ("wck_" + std::to_string(::getpid()) + "_" +
                  std::to_string(counter.fetch_add(1)) + suffix);
+}
+
+/// Undoes the entropy stage named by the stream's tag byte and returns
+/// the formatted payload: a view into `data` for tag 0, else into
+/// `storage`, which receives the decoded bytes.
+std::span<const std::byte> entropy_decode(std::span<const std::byte> data, Bytes& storage) {
+  if (data.empty()) throw FormatError("empty compressed stream");
+  const auto tag = static_cast<std::uint8_t>(data[0]);
+  const auto body = data.subspan(1);
+  switch (tag) {
+    case kTagNone:
+      return body;
+    case kTagZlib:
+      storage = zlib_decompress(body);
+      break;
+    case kTagGzip:
+      storage = gzip_decompress(body);
+      break;
+    case kTagHuffman:
+      storage = huffman_only_decompress(body);
+      break;
+    case kTagSharded:
+      storage = sharded_deflate_decompress(body);
+      break;
+    default:
+      throw FormatError("unknown entropy tag " + std::to_string(tag));
+  }
+  return storage;
 }
 
 }  // namespace
@@ -94,6 +122,7 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
   // telemetry additionally resolves the paper's separate quantize /
   // encode stages.
   Bytes payload_bytes;
+  std::vector<std::size_t> stream_ends;
   // Hoisted past the stage scope so an attached observer can inspect
   // them without perturbing the timed stages.
   std::vector<double> high;
@@ -147,7 +176,7 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
     {
       WCK_TRACE_SPAN("encode");
       const WallTimer encode_timer;
-      payload_bytes = encode_payload(p);
+      payload_bytes = encode_payload(p, &stream_ends);
       WCK_HISTOGRAM_RECORD("stage.encode.seconds", encode_timer.seconds());
     }
   }
@@ -159,7 +188,10 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
 
   // --- Stage 5: entropy coding of the formatted stream. The legacy
   // "gzip" StageTimes slot is kept for Fig. 9; telemetry records the
-  // same interval as the paper's "deflate" stage.
+  // same interval as the paper's "deflate" stage. Both deflate modes
+  // write the segmented WCKP container, cut at the payload's streams.
+  const ShardedDeflateOptions container{params_.deflate_level, params_.deflate_block_size,
+                                        resolve_deflate_sharding(params_.threads)};
   switch (params_.entropy) {
     case EntropyMode::kNone: {
       out.data.push_back(static_cast<std::byte>(kTagNone));
@@ -167,22 +199,15 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
       break;
     }
     case EntropyMode::kDeflate: {
-      const auto sharding = resolve_deflate_sharding(params_.threads);
       Bytes body;
       {
         WCK_TRACE_SPAN("deflate");
         ScopedStage stage(out.times, "gzip");
         const WallTimer deflate_timer;
-        if (sharding) {
-          body = sharded_deflate_compress(
-              payload_bytes,
-              {params_.deflate_level, params_.deflate_block_size, *sharding});
-        } else {
-          body = zlib_compress(payload_bytes, DeflateOptions{params_.deflate_level});
-        }
+        body = sharded_deflate_compress(payload_bytes, container, stream_ends);
         WCK_HISTOGRAM_RECORD("stage.deflate.seconds", deflate_timer.seconds());
       }
-      out.data.push_back(static_cast<std::byte>(sharding ? kTagSharded : kTagZlib));
+      out.data.push_back(static_cast<std::byte>(kTagSharded));
       out.data.insert(out.data.end(), body.begin(), body.end());
       break;
     }
@@ -210,23 +235,18 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
         ScopedStage stage(out.times, "temp_file_write");
         write_file(tmp, payload_bytes);
       }
-      // With sharding enabled the temp-file dance is kept (the write /
-      // read-back overhead is the point of this mode) but the on-disk
-      // compressed body is the block-parallel WCKP container, so the
-      // dominant "gzip" stage scales with threads.
-      const auto sharding = resolve_deflate_sharding(params_.threads);
+      // The write / read-back overhead is the point of this mode; the
+      // compressed body is the same WCKP container kDeflate writes.
       Bytes body;
       {
         WCK_TRACE_SPAN("deflate");
         ScopedStage stage(out.times, "gzip");
         const WallTimer deflate_timer;
         const Bytes on_disk = read_file(tmp);
-        if (sharding) {
-          body = sharded_deflate_compress(
-              on_disk, {params_.deflate_level, params_.deflate_block_size, *sharding});
-        } else {
-          body = gzip_compress(on_disk, DeflateOptions{params_.deflate_level});
+        if (on_disk.size() != payload_bytes.size()) {
+          throw IoError("read back a different size from " + tmp.string());
         }
+        body = sharded_deflate_compress(on_disk, container, stream_ends);
         write_file(tmp_gz, body);
         body = read_file(tmp_gz);
         WCK_HISTOGRAM_RECORD("stage.deflate.seconds", deflate_timer.seconds());
@@ -234,7 +254,7 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
       std::error_code ec;
       std::filesystem::remove(tmp, ec);
       std::filesystem::remove(tmp_gz, ec);
-      out.data.push_back(static_cast<std::byte>(sharding ? kTagSharded : kTagGzip));
+      out.data.push_back(static_cast<std::byte>(kTagSharded));
       out.data.insert(out.data.end(), body.begin(), body.end());
       break;
     }
@@ -245,40 +265,11 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
 }
 
 NdArray<double> WaveletCompressor::decompress(std::span<const std::byte> data) {
-  if (data.empty()) throw FormatError("empty compressed stream");
   WCK_TRACE_SPAN("decompress");
   WCK_COUNTER_ADD("decompress.calls", 1);
   WCK_COUNTER_ADD("decompress.bytes_in", data.size());
-  const auto tag = static_cast<std::uint8_t>(data[0]);
-  const auto body = data.subspan(1);
-
-  Bytes payload_storage;
-  std::span<const std::byte> payload;
-  switch (tag) {
-    case kTagNone:
-      payload = body;
-      break;
-    case kTagZlib:
-      payload_storage = zlib_decompress(body);
-      payload = payload_storage;
-      break;
-    case kTagGzip:
-      payload_storage = gzip_decompress(body);
-      payload = payload_storage;
-      break;
-    case kTagHuffman:
-      payload_storage = huffman_only_decompress(body);
-      payload = payload_storage;
-      break;
-    case kTagSharded:
-      payload_storage = sharded_deflate_decompress(body);
-      payload = payload_storage;
-      break;
-    default:
-      throw FormatError("unknown entropy tag " + std::to_string(tag));
-  }
-
-  const LossyPayload p = decode_payload(payload);
+  Bytes storage;
+  const LossyPayload p = decode_payload(entropy_decode(data, storage));
   const WaveletPlan plan = WaveletPlan::create(p.shape, p.levels);
   if (p.low_band.size() != plan.low_count()) {
     throw FormatError("payload low band size does not match transform plan");
@@ -313,43 +304,15 @@ NdArray<double> WaveletCompressor::decompress(std::span<const std::byte> data) {
 }
 
 StreamInfo WaveletCompressor::inspect(std::span<const std::byte> data) {
-  if (data.empty()) throw FormatError("empty compressed stream");
-  const auto tag = static_cast<std::uint8_t>(data[0]);
-  const auto body = data.subspan(1);
-
-  Bytes payload_storage;
-  std::span<const std::byte> payload;
-  switch (tag) {
-    case kTagNone:
-      payload = body;
-      break;
-    case kTagZlib:
-      payload_storage = zlib_decompress(body);
-      payload = payload_storage;
-      break;
-    case kTagGzip:
-      payload_storage = gzip_decompress(body);
-      payload = payload_storage;
-      break;
-    case kTagHuffman:
-      payload_storage = huffman_only_decompress(body);
-      payload = payload_storage;
-      break;
-    case kTagSharded:
-      payload_storage = sharded_deflate_decompress(body);
-      payload = payload_storage;
-      break;
-    default:
-      throw FormatError("unknown entropy tag " + std::to_string(tag));
-  }
-
+  Bytes storage;
+  const std::span<const std::byte> payload = entropy_decode(data, storage);
   const LossyPayload p = decode_payload(payload);
   StreamInfo info;
   info.shape = p.shape;
   info.levels = p.levels;
   info.wavelet = p.wavelet;
   info.quantizer = p.quantizer;
-  info.entropy_tag = tag;
+  info.entropy_tag = static_cast<std::uint8_t>(data[0]);
   info.averages_count = p.averages.size();
   info.high_count = p.quantized.size();
   info.quantized_count = p.indices.size();

@@ -30,11 +30,13 @@ namespace wck {
 /// How the formatted payload is entropy-coded.
 enum class EntropyMode : std::uint8_t {
   kNone = 0,         ///< formatted payload only (ablation baseline)
-  kDeflate = 1,      ///< in-memory zlib-container deflate (the paper's
-                     ///< Sec. IV-D suggested improvement)
-  kTempFileGzip = 2, ///< write a temp file, gzip it through the
+  kDeflate = 1,      ///< in-memory deflate into the segmented WCKP
+                     ///< container (the paper's Sec. IV-D suggested
+                     ///< improvement; see src/deflate/parallel.hpp)
+  kTempFileGzip = 2, ///< write a temp file and compress it through the
                      ///< filesystem — the paper's actual implementation,
-                     ///< reproducing its "temporal file write" overhead
+                     ///< reproducing its "temporal file write" overhead;
+                     ///< the body is the same WCKP container
   kHuffmanOnly = 3,  ///< order-0 Huffman, no LZ77: several-fold faster
                      ///< than deflate at a small ratio cost (the paper's
                      ///< "other compression methods" future work)
@@ -48,15 +50,11 @@ struct CompressionParams {
   WaveletKind wavelet = WaveletKind::kHaar;
   EntropyMode entropy = EntropyMode::kDeflate;
   int deflate_level = 6;
-  /// Entropy-stage parallelism. 0 (default) defers to the WCK_THREADS
-  /// environment variable — unset means the legacy single-stream
-  /// container, so existing streams, benches and tests are unaffected.
-  /// >= 1 selects the sharded WCKP container with that many workers
-  /// (1 = sharded but compressed inline); < 0 forces the legacy serial
-  /// container regardless of environment. The sharded bytes depend only
-  /// on (payload, deflate_block_size), never on the worker count.
+  /// Entropy-stage worker count: >= 1 uses that many workers, 0
+  /// (default) reads WCK_THREADS (unset means 1), < 0 means 1. The
+  /// output bytes never depend on it.
   int threads = 0;
-  /// Uncompressed bytes per shard when the sharded container is used.
+  /// Longest segment of the WCKP container; longer streams are split.
   std::size_t deflate_block_size = kDefaultDeflateBlockSize;
   /// Directory for kTempFileGzip scratch files (default: system temp).
   std::filesystem::path temp_dir{};
@@ -104,8 +102,9 @@ struct StreamInfo {
   int levels = 0;
   WaveletKind wavelet = WaveletKind::kHaar;
   QuantizerKind quantizer = QuantizerKind::kSpike;
-  std::uint8_t entropy_tag = 0;      ///< kNone/kDeflate/kTempFileGzip/kHuffmanOnly
-                                     ///< order; 4 = sharded parallel deflate
+  std::uint8_t entropy_tag = 0;      ///< first stream byte: 0 none, 1 zlib and
+                                     ///< 2 gzip (both decode only), 3 Huffman-only,
+                                     ///< 4 WCKP container (kDeflate, kTempFileGzip)
   std::size_t averages_count = 0;    ///< quantization table size (== effective n)
   std::size_t high_count = 0;        ///< high-band elements (bitmap size)
   std::size_t quantized_count = 0;   ///< of which stored as 1-byte indexes

@@ -1,7 +1,9 @@
 #include "deflate/huffman.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
+#include <memory_resource>
 #include <string>
 #include <utility>
 
@@ -14,7 +16,15 @@ std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freq
   const std::size_t n = freqs.size();
   std::vector<std::uint8_t> lengths(n, 0);
 
-  std::vector<std::uint16_t> used;
+  // The working lists live in a stack buffer sized for DEFLATE's largest
+  // alphabet (286 symbols); larger alphabets spill to the heap. This runs
+  // once per deflate block and once per WCKP segment, and its ~30 heap
+  // allocations per call measurably raised peak RSS (EXPERIMENTS.md,
+  // "Split-stream entropy stage").
+  std::array<std::byte, 32 * 1024> scratch;
+  std::pmr::monotonic_buffer_resource arena(scratch.data(), scratch.size());
+  std::pmr::vector<std::uint16_t> used(&arena);
+  used.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (freqs[i] > 0) used.push_back(static_cast<std::uint16_t>(i));
   }
@@ -36,7 +46,7 @@ std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freq
     std::uint64_t weight;
     std::uint16_t symbol;
   };
-  std::vector<Leaf> leaves;
+  std::pmr::vector<Leaf> leaves(&arena);
   leaves.reserve(used.size());
   for (const std::uint16_t s : used) leaves.push_back(Leaf{freqs[s], s});
   std::sort(leaves.begin(), leaves.end(),
@@ -48,16 +58,16 @@ std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freq
   // nodes of the list below; which symbols a node holds never needs to be
   // stored.
   const auto levels = static_cast<std::size_t>(max_length);
-  std::vector<std::vector<std::uint8_t>> is_package(levels);
-  std::vector<std::uint64_t> prev;
+  std::pmr::vector<std::pmr::vector<std::uint8_t>> is_package(levels, &arena);
+  std::pmr::vector<std::uint64_t> prev(&arena);
   prev.reserve(2 * leaves.size());
   for (const Leaf& leaf : leaves) prev.push_back(leaf.weight);
   is_package[0].assign(prev.size(), 0);
-  std::vector<std::uint64_t> cur;
+  std::pmr::vector<std::uint64_t> cur(&arena);
   cur.reserve(2 * leaves.size());
   for (std::size_t level = 1; level < levels; ++level) {
     cur.clear();
-    std::vector<std::uint8_t>& flags = is_package[level];
+    std::pmr::vector<std::uint8_t>& flags = is_package[level];
     flags.reserve(leaves.size() + prev.size() / 2);
     const std::size_t packages = prev.size() / 2;
     std::size_t li = 0;
@@ -78,7 +88,7 @@ std::vector<std::uint8_t> build_code_lengths(std::span<const std::uint64_t> freq
   // lightest leaves, and its packages choose the prefix one level below.
   std::size_t take = 2 * (used.size() - 1);
   for (std::size_t level = levels; level-- > 0;) {
-    const std::vector<std::uint8_t>& flags = is_package[level];
+    const std::pmr::vector<std::uint8_t>& flags = is_package[level];
     std::size_t packages = 0;
     for (std::size_t i = 0; i < take; ++i) packages += flags[i];
     for (std::size_t j = 0; j < take - packages; ++j) ++lengths[leaves[j].symbol];

@@ -1,95 +1,114 @@
-// Parallel sharded DEFLATE: block-parallel entropy coding of the
-// checkpoint hot path.
+// Segmented parallel DEFLATE: the entropy stage of the checkpoint hot
+// path.
 //
-// The deflate/gzip stage dominates per-checkpoint compression time
-// (~90 % in the Fig. 9 breakdown, see perf/BENCH_seed.json) yet RFC 1951
-// streams are inherently serial. Following the pigz-style sharding used
-// by production checkpoint libraries, the input is split into fixed-size
-// *data-independent* blocks (default 256 KiB), each block is compressed
-// to an independent raw DEFLATE stream — concurrently, on a shared
-// thread pool — and the results are framed in the "WCKP" container
-// below. Decompression is symmetric: blocks are decoded concurrently,
-// CRC-verified, and spliced back in order, so restore time scales too.
+// The deflate/gzip stage dominates per-checkpoint compression time (the
+// Fig. 9 breakdown, see perf/BENCH_seed.json), and one RFC 1951 stream
+// is inherently serial. The input is therefore cut into independent
+// segments, and each is coded on its own, concurrently on a shared
+// thread pool, into the "WCKP" container below. Decompression is
+// symmetric: segments are decoded concurrently, CRC-verified, and
+// spliced back in order.
 //
-// Determinism guarantee: for a given (input, block_size) the container
-// bytes are identical at ANY thread count, because block boundaries
-// depend only on block_size and every block is compressed by the same
-// serial per-block encoder. Thread count affects wall-clock only.
+// Segment rule. The caller may name the offsets where homogeneous
+// streams of its input end (the Fig. 5 payload reports them: header,
+// byte planes, bitmap, indexes; see src/encode/payload.hpp). A segment
+// starts at each stream end, except that adjacent streams merge until a
+// segment holds at least kMinSegmentSize bytes (a short last segment
+// joins the one before it), and a segment longer than block_size is
+// split. Each segment is stored raw when order-0 Huffman coding of its
+// bytes would save less than 1 % (the near-random mantissa planes), and
+// is otherwise deflated at the requested level.
 //
-// Container layout (all integers little-endian, varint = LEB128):
+// Determinism guarantee: the container bytes depend only on (input,
+// stream ends, level, block_size), never on the worker count. The
+// stored/deflate choice uses integer arithmetic only, so it is the same
+// on every platform.
+//
+// Container layout, version 2 (all integers little-endian, varint =
+// LEB128):
 //
 //   u32    magic "WCKP" (0x504B4357)
-//   u8     version (1)
+//   u8     version (2)
 //   u8     flags (0, reserved)
-//   varint block_size          uncompressed bytes per full block
-//   varint total_size          uncompressed payload size
-//   varint block_count         == ceil(total_size / block_size)
-//   block_count x {            per-block table
-//     varint compressed_size
-//     varint uncompressed_size (== block_size except the last block)
-//     u32    crc32             of the uncompressed block
+//   varint total_size          uncompressed size
+//   varint segment_count
+//   segment_count x {          per-segment table
+//     u8     mode              0 stored, 1 raw DEFLATE
+//     varint raw_size          uncompressed bytes
+//     varint coded_size        body bytes (== raw_size when stored)
+//     u32    crc32             of the uncompressed segment
 //   }
-//   block_count x raw DEFLATE streams, concatenated in block order
+//   segment_count x bodies, concatenated in segment order
 //
-// The trade-off vs a single stream is a fresh LZ77 window per block plus
-// ~10 bytes of framing per block: < 2 % size drift at the default block
-// size (gated by tools/check_bench_regress.py and bench/micro_deflate).
+// Version 1 (decode only) split the input into fixed block_size blocks,
+// all deflated: a header of {block_size, total_size, block_count}
+// varints after the flags, then a {compressed_size, uncompressed_size,
+// crc32} table entry per block.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
+#include <vector>
 
 #include "util/bytes.hpp"
 
 namespace wck {
 
-/// Default uncompressed bytes per shard. Large enough that the per-block
-/// LZ77 window reset and frame overhead stay under ~1 % on checkpoint
-/// payloads, small enough that a 1.5 MB per-process array (the paper's
-/// Fig. 9 size) still splits into ~7 concurrent blocks.
+/// Default longest segment. Small enough that a 1.5 MB per-process
+/// array (the paper's Fig. 9 size) still splits into several
+/// concurrent segments.
 inline constexpr std::size_t kDefaultDeflateBlockSize = 256 * 1024;
+
+/// Adjacent streams merge until a segment holds at least this many
+/// bytes: below it, the per-segment Huffman tables and window restarts
+/// cost more time than the homogeneous streams save.
+inline constexpr std::size_t kMinSegmentSize = 16 * 1024;
 
 struct ShardedDeflateOptions {
   /// zlib-style effort level 1..9 (as DeflateOptions).
   int level = 6;
-  /// Uncompressed bytes per block; must be >= 1. Changing it changes the
-  /// output bytes (the determinism guarantee is per (input, block_size)).
+  /// Longest segment in bytes; must be >= 1. Changing it changes the
+  /// output bytes.
   std::size_t block_size = kDefaultDeflateBlockSize;
-  /// Worker count for this call: 1 compresses inline on the caller's
-  /// thread; N > 1 fans blocks out over the process-shared deflate pool
-  /// (effective concurrency additionally bounded by the pool width,
-  /// i.e. the machine's core count). Never alters the output bytes.
+  /// Worker count for this call: 1 codes inline on the caller's thread;
+  /// N > 1 fans segments out over the process-shared pool (effective
+  /// concurrency additionally bounded by the pool width, i.e. the
+  /// machine's core count). Never alters the output bytes.
   std::size_t threads = 1;
 };
 
-/// Compresses `input` into a WCKP sharded container. Deterministic for a
-/// given (input, options.block_size) regardless of options.threads.
-/// Empty input yields a valid zero-block container.
-[[nodiscard]] Bytes sharded_deflate_compress(std::span<const std::byte> input,
-                                             const ShardedDeflateOptions& options = {});
+/// Segment end offsets for an input of `size` bytes whose homogeneous
+/// streams end at `stream_ends` (non-decreasing, each <= size), by the
+/// segment rule above. Throws InvalidArgumentError on bad arguments.
+[[nodiscard]] std::vector<std::size_t> segment_ends(std::size_t size,
+                                                    std::span<const std::size_t> stream_ends,
+                                                    std::size_t block_size);
 
-/// Decompresses a WCKP container, decoding blocks concurrently when
-/// `threads` > 1 (0 = resolve from WCK_THREADS, serial when unset).
+/// Compresses `input` into a WCKP version 2 container. With no
+/// `stream_ends` the input is one stream. Empty input yields a valid
+/// zero-segment container.
+[[nodiscard]] Bytes sharded_deflate_compress(std::span<const std::byte> input,
+                                             const ShardedDeflateOptions& options = {},
+                                             std::span<const std::size_t> stream_ends = {});
+
+/// Decompresses a WCKP container of either version, decoding segments
+/// concurrently when `threads` > 1 (0 = resolve_deflate_sharding(0)).
 /// Throws FormatError on malformed framing and CorruptDataError when a
-/// block fails its CRC-32 or size check.
+/// segment fails its CRC-32 or size check.
 [[nodiscard]] Bytes sharded_deflate_decompress(std::span<const std::byte> input,
                                                std::size_t threads = 0);
 
 /// True when `data` starts with the WCKP magic (cheap container sniff).
 [[nodiscard]] bool is_sharded_deflate(std::span<const std::byte> data) noexcept;
 
-/// Resolves a CompressionParams/CLI-style thread request to an effective
-/// sharding decision:
-///   requested >= 1  -> shard with that many workers (1 = inline serial,
-///                      still the WCKP container)
-///   requested == 0  -> consult WCK_THREADS: unset/empty/unparsable means
-///                      "no sharding" (nullopt -> the legacy serial
-///                      container); "0" or "max" means hardware
-///                      concurrency; any positive integer is taken as-is
-///   requested < 0   -> no sharding (explicit legacy opt-out)
-/// nullopt therefore means "keep the pre-sharding serial code path".
-[[nodiscard]] std::optional<std::size_t> resolve_deflate_sharding(int requested);
+/// Resolves a CompressionParams/CLI-style thread request to a worker
+/// count:
+///   requested >= 1  -> that many workers
+///   requested == 0  -> WCK_THREADS: a positive integer is taken as-is,
+///                      "0" or "max" means hardware concurrency, and
+///                      unset/empty/unparsable means 1
+///   requested < 0   -> 1
+[[nodiscard]] std::size_t resolve_deflate_sharding(int requested);
 
 }  // namespace wck

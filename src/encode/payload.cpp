@@ -1,5 +1,6 @@
 #include "encode/payload.hpp"
 
+#include <bit>
 #include <string>
 
 #include "util/checksum.hpp"
@@ -9,11 +10,47 @@ namespace wck {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4C4B4357;  // "WCKL" little-endian
-constexpr std::uint8_t kVersion = 2;  // v2 added the wavelet-kind field
+constexpr std::uint8_t kVersionInterleaved = 2;  // v2 added the wavelet-kind field
+constexpr std::uint8_t kVersionPlanes = 3;       // v3 stores doubles as byte planes
+
+/// Appends `values` as 8 byte planes (plane k holds byte k, little-endian,
+/// of every value) and records where each plane ends.
+void write_planes(Bytes& out, std::span<const double> values, std::vector<std::size_t>* ends) {
+  const std::size_t n = values.size();
+  const std::size_t base = out.size();
+  out.resize(base + 8 * n);
+  std::byte* planes = out.data() + base;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto bits = std::bit_cast<std::uint64_t>(values[i]);
+    for (std::size_t k = 0; k < 8; ++k) {
+      planes[k * n + i] = static_cast<std::byte>(bits >> (8 * k));
+    }
+  }
+  if (ends != nullptr) {
+    for (std::size_t k = 1; k <= 8; ++k) ends->push_back(base + k * n);
+  }
+}
+
+/// Reads `out.size()` doubles in the layout `version` uses for them.
+void read_doubles(ByteReader& r, std::span<double> out, std::uint8_t version) {
+  if (version == kVersionInterleaved) {
+    r.f64_array(out);
+    return;
+  }
+  const std::size_t n = out.size();
+  const auto planes = r.raw(8 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t bits = 0;
+    for (std::size_t k = 0; k < 8; ++k) {
+      bits |= static_cast<std::uint64_t>(planes[k * n + i]) << (8 * k);
+    }
+    out[i] = std::bit_cast<double>(bits);
+  }
+}
 
 }  // namespace
 
-Bytes encode_payload(const LossyPayload& p) {
+Bytes encode_payload(const LossyPayload& p, std::vector<std::size_t>* stream_ends) {
   if (p.indices.size() != p.quantized.count()) {
     throw InvalidArgumentError("payload: index count does not match bitmap population");
   }
@@ -23,10 +60,11 @@ Bytes encode_payload(const LossyPayload& p) {
   if (p.averages.size() > 256) {
     throw InvalidArgumentError("payload: averages table exceeds 256 entries");
   }
+  if (stream_ends != nullptr) stream_ends->clear();
 
   ByteWriter w;
   w.u32(kMagic);
-  w.u8(kVersion);
+  w.u8(kVersionPlanes);
   w.u8(static_cast<std::uint8_t>(p.quantizer));
   w.u8(static_cast<std::uint8_t>(p.wavelet));
   w.u8(static_cast<std::uint8_t>(p.shape.rank()));
@@ -37,15 +75,21 @@ Bytes encode_payload(const LossyPayload& p) {
   w.varint(p.quantized.size());
   w.varint(p.indices.size());
 
-  w.f64_array(p.averages);
-  w.f64_array(p.low_band);
-  p.quantized.serialize_to(w.buffer());
+  // The averages table is at most 2 KiB: it stays in the header's stream.
+  Bytes& out = w.buffer();
+  write_planes(out, p.averages, nullptr);
+  if (stream_ends != nullptr) stream_ends->push_back(out.size());
+  write_planes(out, p.low_band, stream_ends);
+  p.quantized.serialize_to(out);
+  if (stream_ends != nullptr) stream_ends->push_back(out.size());
   w.raw(p.indices.data(), p.indices.size());
-  w.f64_array(p.exact_values);
+  if (stream_ends != nullptr) stream_ends->push_back(out.size());
+  write_planes(out, p.exact_values, stream_ends);
 
   // Trailing CRC over everything before it.
-  const std::uint32_t crc = crc32(std::span<const std::byte>(w.buffer()));
+  const std::uint32_t crc = crc32(std::span<const std::byte>(out));
   w.u32(crc);
+  if (stream_ends != nullptr) stream_ends->push_back(out.size());
   return w.take();
 }
 
@@ -61,7 +105,7 @@ LossyPayload decode_payload(std::span<const std::byte> data) {
   ByteReader r(data.subspan(0, data.size() - 4));
   if (r.u32() != kMagic) throw FormatError("payload: bad magic");
   const std::uint8_t version = r.u8();
-  if (version != kVersion) {
+  if (version != kVersionInterleaved && version != kVersionPlanes) {
     throw FormatError("payload: unsupported version " + std::to_string(version));
   }
 
@@ -91,11 +135,18 @@ LossyPayload decode_payload(std::span<const std::byte> data) {
     throw FormatError("payload: band sizes do not sum to array size");
   }
   if (n_idx > n_high) throw FormatError("payload: more indexes than high-band elements");
+  // Both layouts hold the same section sizes. Check them against the
+  // stream before anything is allocated from a count.
+  const std::uint64_t left = r.remaining();
+  if (n_low > left / 8 || n_high - n_idx > left / 8 || n_idx > left ||
+      8 * (n_avg + n_low + n_high - n_idx) + (n_high + 7) / 8 + n_idx != left) {
+    throw FormatError("payload: section sizes do not match the stream length");
+  }
 
   p.averages.resize(n_avg);
-  r.f64_array(p.averages);
+  read_doubles(r, p.averages, version);
   p.low_band.resize(n_low);
-  r.f64_array(p.low_band);
+  read_doubles(r, p.low_band, version);
   p.quantized = Bitmap::deserialize(r.raw((n_high + 7) / 8), n_high);
   if (p.quantized.count() != n_idx) {
     throw FormatError("payload: bitmap population does not match index count");
@@ -109,8 +160,7 @@ LossyPayload decode_payload(std::span<const std::byte> data) {
     }
   }
   p.exact_values.resize(n_high - n_idx);
-  r.f64_array(p.exact_values);
-  if (!r.exhausted()) throw FormatError("payload: trailing bytes");
+  read_doubles(r, p.exact_values, version);
   return p;
 }
 

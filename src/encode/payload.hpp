@@ -6,6 +6,13 @@
 // high-band values, and the exact doubles of unquantized high-band
 // values. The stream is subsequently compressed with gzip/deflate by the
 // core pipeline ("Finally, we apply gzip to the formatted output").
+//
+// Version 3 (written) stores each double section as 8 byte planes:
+// plane k holds byte k (little-endian) of every value, so sign/exponent
+// bytes sit together and the near-random low mantissa bytes sit
+// together. The entropy stage codes each such homogeneous stream on its
+// own (src/deflate/parallel.hpp). Version 2 (read only) interleaved the
+// 8 bytes of every double.
 #pragma once
 
 #include <cstdint>
@@ -36,10 +43,17 @@ struct LossyPayload {
   [[nodiscard]] std::size_t element_count() const noexcept { return shape.size(); }
 };
 
-/// Serializes the payload (Fig. 5 layout; little-endian; CRC-protected).
-[[nodiscard]] Bytes encode_payload(const LossyPayload& payload);
+/// Serializes the payload (v3 layout; little-endian; CRC-protected).
+/// When `stream_ends` is non-null it receives the offset where each
+/// homogeneous stream ends, in order: header + averages, the 8 low-band
+/// planes, the bitmap, the indexes, the 8 exact-value planes, and the
+/// CRC trailer. That is 20 non-decreasing offsets (empty streams repeat
+/// an offset); the last one is the payload size.
+[[nodiscard]] Bytes encode_payload(const LossyPayload& payload,
+                                   std::vector<std::size_t>* stream_ends = nullptr);
 
-/// Parses and validates a payload. Throws FormatError / CorruptDataError.
+/// Parses and validates a v2 or v3 payload. Throws FormatError /
+/// CorruptDataError.
 [[nodiscard]] LossyPayload decode_payload(std::span<const std::byte> data);
 
 }  // namespace wck

@@ -16,6 +16,8 @@
 #include "deflate/huffman.hpp"
 #include "deflate/huffman_only.hpp"
 #include "deflate/lz77.hpp"
+#include "encode/payload.hpp"
+#include "legacy_writers.hpp"
 #include "util/bitio.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -511,8 +513,10 @@ std::vector<RoundTripCase> round_trip_cases() {
 // ---------------------------------------------------------------------
 // Golden output: deflate bytes are part of every stored checkpoint, so
 // an engine change must reproduce them exactly at every level. The
-// digests below were recorded from the byte-at-a-time reference engine;
-// a mismatch prints the entry the current engine produces.
+// digests below were recorded from the byte-at-a-time reference engine
+// over payload v2; the last four pin payload v3 and the WCKP v2
+// container the production path writes. A mismatch prints the entry the
+// current engine produces.
 // ---------------------------------------------------------------------
 
 /// FNV-1a 64-bit fingerprint of a byte stream.
@@ -525,14 +529,21 @@ std::uint64_t fnv1a64(std::span<const std::byte> data) {
   return h;
 }
 
-/// The formatted (pre-entropy) payload of `field` at production settings.
-Bytes formatted_payload(const NdArray<double>& field) {
+/// The compressor's output for `field` at production settings, without
+/// the entropy tag: the v3 payload for kNone, the WCKP v2 container for
+/// kDeflate.
+Bytes compressed_body(const NdArray<double>& field, EntropyMode entropy) {
   CompressionParams params;
   params.quantizer.divisions = 128;
-  params.entropy = EntropyMode::kNone;
-  params.threads = -1;
+  params.entropy = entropy;
   const Bytes stream = WaveletCompressor(params).compress(field).data;
-  return Bytes(stream.begin() + 1, stream.end());  // drop the entropy tag
+  return Bytes(stream.begin() + 1, stream.end());
+}
+
+/// The formatted (pre-entropy) payload of `field` in the v2 layout the
+/// engine digests below were recorded on.
+Bytes formatted_payload(const NdArray<double>& field) {
+  return encode_payload_v2(decode_payload(compressed_body(field, EntropyMode::kNone)));
 }
 
 struct GoldenEntry {
@@ -551,8 +562,10 @@ std::vector<std::pair<std::string, Bytes>> golden_outputs() {
     }
     out.emplace_back("huffman_only/" + std::string(c.name), huffman_only_compress(c.data));
   }
-  const Bytes fig9 = formatted_payload(make_temperature_field(Shape{1156, 82, 2}, 2015));
-  const Bytes noise = formatted_payload(make_random_field(Shape{1156, 82, 2}, 2015));
+  const NdArray<double> fig9_field = make_temperature_field(Shape{1156, 82, 2}, 2015);
+  const NdArray<double> noise_field = make_random_field(Shape{1156, 82, 2}, 2015);
+  const Bytes fig9 = formatted_payload(fig9_field);
+  const Bytes noise = formatted_payload(noise_field);
   for (const auto& [name, payload] : {std::pair{"fig9", &fig9}, std::pair{"noise", &noise}}) {
     out.emplace_back("payload/" + std::string(name), *payload);
     for (const int level : {1, 6, 9}) {
@@ -565,6 +578,14 @@ std::vector<std::pair<std::string, Bytes>> golden_outputs() {
   }
   out.emplace_back("zlib/structured_large", zlib_compress(cases[6].data));
   out.emplace_back("gzip/structured_large", gzip_compress(cases[6].data, DeflateOptions{9}));
+  // The stored formats of the same two fields: payload v3 and the WCKP
+  // v2 container the production path writes around it.
+  for (const auto& [name, field] :
+       {std::pair{"fig9", &fig9_field}, std::pair{"noise", &noise_field}}) {
+    out.emplace_back("payload_v3/" + std::string(name), compressed_body(*field, EntropyMode::kNone));
+    out.emplace_back("wckp_v2/" + std::string(name),
+                     compressed_body(*field, EntropyMode::kDeflate));
+  }
   return out;
 }
 
@@ -666,6 +687,10 @@ constexpr GoldenEntry kGolden[] = {
   {"huffman_only/noise", 507419, 0x1a86a10f69ff0dd2ull},
   {"zlib/structured_large", 24901, 0xf95af0449350c51bull},
   {"gzip/structured_large", 21870, 0x29f832ed5bc51fe0ull},
+  {"payload_v3/fig9", 544677, 0x33c96d6e1ac00179ull},
+  {"wckp_v2/fig9", 344000, 0xda01d56f7fdf996eull},
+  {"payload_v3/noise", 525189, 0x35974f74203011eaull},
+  {"wckp_v2/noise", 448316, 0x28e5ee2b1417887aull},
 };
 // clang-format on
 

@@ -1,8 +1,12 @@
 // Unit tests for the bitmap and the Fig. 5 payload serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
 #include "encode/bitmap.hpp"
 #include "encode/payload.hpp"
+#include "legacy_writers.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -215,6 +219,83 @@ TEST(Payload, BandSizesMustSumToArraySize) {
   p.low_band.push_back(5.0);  // 5 low + 12 high != 16
   const Bytes data = encode_payload(p);
   EXPECT_THROW((void)decode_payload(data), FormatError);
+}
+
+TEST(Payload, V3StoresDoublesAsBytePlanesAndReportsStreamEnds) {
+  const LossyPayload p = sample_payload();
+  std::vector<std::size_t> ends;
+  const Bytes data = encode_payload(p, &ends);
+  EXPECT_EQ(static_cast<int>(data[4]), 3);  // version
+  // header + averages, 8 low planes, bitmap, indexes, 8 exact planes, CRC.
+  ASSERT_EQ(ends.size(), 20u);
+  EXPECT_EQ(ends.back(), data.size());
+  EXPECT_TRUE(std::is_sorted(ends.begin(), ends.end()));
+  const std::size_t header_end = 9 + 2 + 4;  // 2 extents, 4 counts: 1 byte each
+  EXPECT_EQ(ends[0], header_end + 8 * p.averages.size());
+  for (std::size_t k = 0; k < 8; ++k) {
+    EXPECT_EQ(ends[1 + k], ends[0] + (k + 1) * p.low_band.size());
+    EXPECT_EQ(ends[11 + k], ends[10] + (k + 1) * p.exact_values.size());
+    // Plane k holds byte k of every value (9 exact values: one group of
+    // 8 plus a tail).
+    for (std::size_t i = 0; i < p.low_band.size(); ++i) {
+      const auto bits = std::bit_cast<std::uint64_t>(p.low_band[i]);
+      EXPECT_EQ(static_cast<std::uint8_t>(data[ends[k] + i]),
+                static_cast<std::uint8_t>(bits >> (8 * k)));
+    }
+    for (std::size_t i = 0; i < p.exact_values.size(); ++i) {
+      const auto bits = std::bit_cast<std::uint64_t>(p.exact_values[i]);
+      EXPECT_EQ(static_cast<std::uint8_t>(data[ends[10 + k] + i]),
+                static_cast<std::uint8_t>(bits >> (8 * k)));
+    }
+  }
+  EXPECT_EQ(ends[9], ends[8] + p.quantized.byte_size());
+  EXPECT_EQ(ends[10], ends[9] + p.indices.size());
+  EXPECT_EQ(ends[19], ends[18] + 4);
+  // No out-parameter, same bytes.
+  EXPECT_EQ(encode_payload(p), data);
+}
+
+TEST(Payload, V2LayoutStillDecodes) {
+  const LossyPayload p = sample_payload();
+  const LossyPayload q = decode_payload(encode_payload_v2(p));
+  EXPECT_EQ(q.shape, p.shape);
+  EXPECT_EQ(q.averages, p.averages);
+  EXPECT_EQ(q.low_band, p.low_band);
+  EXPECT_EQ(q.quantized, p.quantized);
+  EXPECT_EQ(q.indices, p.indices);
+  EXPECT_EQ(q.exact_values, p.exact_values);
+}
+
+TEST(Payload, EveryTruncationRejectedEvenWithValidCrc) {
+  // Cut the body at every offset and re-sign it, so the structural
+  // parser (not the CRC) must notice, in both layouts.
+  for (const Bytes& data : {encode_payload(sample_payload()),
+                            encode_payload_v2(sample_payload())}) {
+    for (std::size_t keep = 0; keep + 4 < data.size(); ++keep) {
+      Bytes cut(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(keep));
+      cut.resize(keep + 4);
+      EXPECT_THROW((void)decode_payload(resign(std::move(cut))), FormatError) << "keep=" << keep;
+    }
+  }
+}
+
+TEST(Payload, HugeCountsRejectedBeforeAllocation) {
+  // Extents and counts claiming ~2^60 elements, re-signed: the size
+  // check against the stream must fire before any vector is sized.
+  ByteWriter w;
+  w.u32(0x4C4B4357);
+  w.u8(3);
+  w.u8(1);
+  w.u8(0);
+  w.u8(1);  // rank
+  w.u8(1);  // levels
+  w.varint(1ull << 60);
+  w.varint(0);
+  w.varint(1ull << 59);
+  w.varint(1ull << 59);
+  w.varint(0);
+  w.u32(0);
+  EXPECT_THROW((void)decode_payload(resign(w.take())), FormatError);
 }
 
 }  // namespace

@@ -21,9 +21,9 @@ numbers, not a regression signal).
 
 Exceptions — baseline-less records that are self-baselining:
   * a record carrying serial_bytes and sharded_bytes in its params
-    (bench/micro_deflate): the gate checks that the sharded
-    parallel-deflate container is no more than --sharded-tol (default
-    2%) larger than the serial stream compressed from the same input.
+    (bench/micro_deflate): the gate checks that the segmented WCKP
+    container is no more than --sharded-tol (default 2%) larger than one
+    zlib stream compressed from the same payload.
   * a record carrying simd_best_level in its params
     (bench/micro_kernels): on vector-capable hardware (best level is
     not "scalar") at least --simd-min-kernels of the speedup_<kernel>

@@ -7,8 +7,8 @@
 //              [--n=128] [--d=64] [--levels=1] [--entropy=deflate|gzip-file|none]
 //              [--threads=N] [--block-size=BYTES]
 //              Compresses a raw double file with the paper's pipeline.
-//              --threads >= 1 (or WCK_THREADS set) selects the sharded
-//              parallel deflate container; see src/deflate/parallel.hpp.
+//              --threads=N (or WCK_THREADS) sets the entropy-stage
+//              worker count; see src/deflate/parallel.hpp.
 //   decompress --in=FILE --out=FILE
 //              Restores raw doubles from a compressed stream.
 //   info       --in=FILE
@@ -239,10 +239,9 @@ CompressionParams params_from_flags(const std::map<std::string, std::string>& fl
   } else {
     usage(("unknown entropy mode: " + e).c_str());
   }
-  // --threads=N selects the sharded parallel deflate container (N=1 is
-  // sharded but inline); the default 0 defers to WCK_THREADS, and -1
-  // forces the legacy serial container. --block-size tunes the shard
-  // granularity (bytes of payload per independently compressed block).
+  // --threads=N sets the entropy-stage worker count (the default 0
+  // defers to WCK_THREADS; the output bytes never depend on it).
+  // --block-size caps the WCKP segment length in payload bytes.
   p.threads = static_cast<int>(std::strtol(get_or(flags, "threads", "0").c_str(), nullptr, 10));
   const long block_size = std::strtol(get_or(flags, "block-size", "0").c_str(), nullptr, 10);
   if (block_size < 0) usage("--block-size must be >= 1");
