@@ -109,6 +109,9 @@ int main(int argc, char** argv) {
   report.params["nz"] = std::to_string(nz);
   report.params["repeats"] = std::to_string(repeats);
   report.params["bandwidth_gbs"] = fmt("%.1f", bandwidth / 1e9);
+  // A baseline recorded at another level then reads as a params
+  // mismatch rather than a size or time regression.
+  report.params["deflate_level"] = std::to_string(params.deflate_level);
   // Only stamp the param when it was given: the default run must keep
   // the exact baseline params the regression gate matches on.
   if (threads != 0) report.params["threads"] = std::to_string(threads);

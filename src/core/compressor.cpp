@@ -91,6 +91,9 @@ WaveletCompressor::WaveletCompressor(CompressionParams params) : params_(std::mo
   if (params_.quantizer.divisions < 1 || params_.quantizer.divisions > 256) {
     throw InvalidArgumentError("quantizer divisions must be 1..256");
   }
+  if (params_.deflate_level < 1 || params_.deflate_level > 9) {
+    throw InvalidArgumentError("deflate_level must be 1..9");
+  }
 }
 
 CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const {

@@ -243,6 +243,7 @@ void emit_stored_blocks(BitWriter& bw, std::span<const std::byte> raw, bool fina
 }  // namespace
 
 Bytes deflate_compress(std::span<const std::byte> input, const DeflateOptions& options) {
+  const Lz77Params params = lz77_params_for_level(options.level);
   Bytes out;
   BitWriter bw(out);
 
@@ -252,13 +253,15 @@ Bytes deflate_compress(std::span<const std::byte> input, const DeflateOptions& o
     return out;
   }
 
-  const Lz77Params params = lz77_params_for_level(options.level);
   const std::vector<Lz77Token> tokens = lz77_parse(input, params);
 
   // Split the token stream into blocks so each gets its own adapted
-  // Huffman code. Block boundaries also track the raw-byte range so the
+  // Huffman code. 16 Ki tokens is zlib's block length at its default
+  // memLevel: short enough that each code follows the local statistics
+  // of a stream, which wins back the bytes a lower level's shorter chain
+  // walk gives up. Block boundaries also track the raw-byte range so the
   // stored fallback can be costed exactly.
-  constexpr std::size_t kTokensPerBlock = 1 << 16;
+  constexpr std::size_t kTokensPerBlock = 1 << 14;
   std::size_t tok_begin = 0;
   std::size_t raw_begin = 0;
   while (tok_begin < tokens.size() || tok_begin == 0) {

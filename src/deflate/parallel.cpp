@@ -12,6 +12,7 @@
 
 #include "deflate/deflate.hpp"
 #include "deflate/huffman.hpp"
+#include "deflate/lz77.hpp"
 #include "parallel/thread_pool.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/checksum.hpp"
@@ -252,6 +253,9 @@ Bytes sharded_deflate_compress(std::span<const std::byte> input,
                                const ShardedDeflateOptions& options,
                                std::span<const std::size_t> stream_ends) {
   WCK_TRACE_SPAN("deflate.sharded.compress");
+  // Checked up front: a payload whose segments are all stored never
+  // reaches the deflate engine's own check.
+  (void)lz77_params_for_level(options.level);
   const std::vector<std::size_t> ends = segment_ends(input.size(), stream_ends, options.block_size);
   const std::size_t n = ends.size();
   const std::size_t threads = std::max<std::size_t>(options.threads, 1);

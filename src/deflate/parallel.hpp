@@ -87,7 +87,9 @@ struct ShardedDeflateOptions {
 
 /// Compresses `input` into a WCKP version 2 container. With no
 /// `stream_ends` the input is one stream. Empty input yields a valid
-/// zero-segment container.
+/// zero-segment container. Throws InvalidArgumentError for a level
+/// outside 1..9 before coding anything, even when every segment would
+/// be stored.
 [[nodiscard]] Bytes sharded_deflate_compress(std::span<const std::byte> input,
                                              const ShardedDeflateOptions& options = {},
                                              std::span<const std::size_t> stream_ends = {});

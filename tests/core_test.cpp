@@ -166,6 +166,13 @@ TEST(Compressor, EmptyAndInvalidInputsRejected) {
   CompressionParams p = spike_params(64);
   p.wavelet_levels = 0;
   EXPECT_THROW(WaveletCompressor{p}, InvalidArgumentError);
+  // A bad deflate level is refused at construction, not at the first
+  // deflated segment, which may run on a pool worker.
+  for (const int level : {0, 10}) {
+    p = spike_params(64);
+    p.deflate_level = level;
+    EXPECT_THROW(WaveletCompressor{p}, InvalidArgumentError) << "level=" << level;
+  }
   NdArray<double> empty;
   EXPECT_THROW((void)WaveletCompressor(spike_params(64)).compress(empty),
                InvalidArgumentError);

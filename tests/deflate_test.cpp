@@ -273,6 +273,8 @@ TEST(Lz77, TokenPackingLimits) {
 TEST(Lz77, InvalidLevelRejected) {
   EXPECT_THROW((void)lz77_params_for_level(0), InvalidArgumentError);
   EXPECT_THROW((void)lz77_params_for_level(10), InvalidArgumentError);
+  // deflate_compress checks the level before its empty-input shortcut.
+  EXPECT_THROW((void)deflate_compress({}, DeflateOptions{0}), InvalidArgumentError);
 }
 
 TEST(Lz77, MatchesRespectWindow) {
@@ -514,9 +516,12 @@ std::vector<RoundTripCase> round_trip_cases() {
 // Golden output: deflate bytes are part of every stored checkpoint, so
 // an engine change must reproduce them exactly at every level. The
 // digests below were recorded from the byte-at-a-time reference engine
-// over payload v2; the last four pin payload v3 and the WCKP v2
-// container the production path writes. A mismatch prints the entry the
-// current engine produces.
+// over payload v2; the 24 entries whose token stream exceeds 16 Ki
+// tokens were re-recorded when the Huffman block length went from 64 Ki
+// to 16 Ki tokens, with the parse unchanged. The last six pin payload v3
+// and the WCKP v2 container around it at levels 6 and 4, the level the
+// production path writes. A mismatch prints the entry the current
+// engine produces.
 // ---------------------------------------------------------------------
 
 /// FNV-1a 64-bit fingerprint of a byte stream.
@@ -529,13 +534,15 @@ std::uint64_t fnv1a64(std::span<const std::byte> data) {
   return h;
 }
 
-/// The compressor's output for `field` at production settings, without
-/// the entropy tag: the v3 payload for kNone, the WCKP v2 container for
-/// kDeflate.
-Bytes compressed_body(const NdArray<double>& field, EntropyMode entropy) {
+/// The compressor's output for `field` at production settings and the
+/// given deflate level, without the entropy tag: the v3 payload for
+/// kNone, the WCKP v2 container for kDeflate.
+Bytes compressed_body(const NdArray<double>& field, EntropyMode entropy,
+                      int level = CompressionParams{}.deflate_level) {
   CompressionParams params;
   params.quantizer.divisions = 128;
   params.entropy = entropy;
+  params.deflate_level = level;
   const Bytes stream = WaveletCompressor(params).compress(field).data;
   return Bytes(stream.begin() + 1, stream.end());
 }
@@ -583,8 +590,10 @@ std::vector<std::pair<std::string, Bytes>> golden_outputs() {
   for (const auto& [name, field] :
        {std::pair{"fig9", &fig9_field}, std::pair{"noise", &noise_field}}) {
     out.emplace_back("payload_v3/" + std::string(name), compressed_body(*field, EntropyMode::kNone));
-    out.emplace_back("wckp_v2/" + std::string(name),
-                     compressed_body(*field, EntropyMode::kDeflate));
+    for (const int level : {6, 4}) {
+      out.emplace_back("wckp_v2/" + std::string(name) + "/L" + std::to_string(level),
+                       compressed_body(*field, EntropyMode::kDeflate, level));
+    }
   }
   return out;
 }
@@ -641,20 +650,20 @@ constexpr GoldenEntry kGolden[] = {
   {"deflate/random_small/L8", 505, 0x9810a375df7d5c4aull},
   {"deflate/random_small/L9", 505, 0x9810a375df7d5c4aull},
   {"huffman_only/random_small", 507, 0x564ac0636b7a4ca3ull},
-  {"deflate/random_large/L1", 300045, 0x1401fe02fda5e5fcull},
-  {"deflate/random_large/L2", 300045, 0x1401fe02fda5e5fcull},
-  {"deflate/random_large/L3", 300045, 0x1401fe02fda5e5fcull},
-  {"deflate/random_large/L4", 300045, 0x1401fe02fda5e5fcull},
-  {"deflate/random_large/L5", 300045, 0x1401fe02fda5e5fcull},
-  {"deflate/random_large/L6", 300045, 0x1401fe02fda5e5fcull},
-  {"deflate/random_large/L7", 300045, 0x1401fe02fda5e5fcull},
-  {"deflate/random_large/L8", 300045, 0x1401fe02fda5e5fcull},
-  {"deflate/random_large/L9", 300045, 0x1401fe02fda5e5fcull},
+  {"deflate/random_large/L1", 300095, 0x43e7b9ea8a23d9c2ull},
+  {"deflate/random_large/L2", 300095, 0xa44f14c983ab8416ull},
+  {"deflate/random_large/L3", 300095, 0xa44f14c983ab8416ull},
+  {"deflate/random_large/L4", 300095, 0xa44f14c983ab8416ull},
+  {"deflate/random_large/L5", 300095, 0xa44f14c983ab8416ull},
+  {"deflate/random_large/L6", 300095, 0xa44f14c983ab8416ull},
+  {"deflate/random_large/L7", 300095, 0xa44f14c983ab8416ull},
+  {"deflate/random_large/L8", 300095, 0xa44f14c983ab8416ull},
+  {"deflate/random_large/L9", 300095, 0xa44f14c983ab8416ull},
   {"huffman_only/random_large", 300008, 0xf522e126f8b863cbull},
-  {"deflate/structured_large/L1", 29653, 0x3178eb71a2a42ad1ull},
-  {"deflate/structured_large/L2", 29556, 0x0cae6d93f739d8caull},
+  {"deflate/structured_large/L1", 29740, 0x0f88f9c2a0ace988ull},
+  {"deflate/structured_large/L2", 29642, 0x535fbd852a944028ull},
   {"deflate/structured_large/L3", 27319, 0x5f992ca016a83e69ull},
-  {"deflate/structured_large/L4", 28961, 0x3b5a0e82df048758ull},
+  {"deflate/structured_large/L4", 29036, 0xe504547a5f24b910ull},
   {"deflate/structured_large/L5", 27266, 0x17bead4044512403ull},
   {"deflate/structured_large/L6", 24895, 0x8f4635564df3547full},
   {"deflate/structured_large/L7", 23528, 0x8b1dc38ec15f3c48ull},
@@ -672,25 +681,27 @@ constexpr GoldenEntry kGolden[] = {
   {"deflate/all_byte_values/L9", 349, 0xcc07a9e4237653ccull},
   {"huffman_only/all_byte_values", 10247, 0x605ecd1e1b74bf74ull},
   {"payload/fig9", 544677, 0xa295bd1429b999d3ull},
-  {"deflate/fig9/L1", 413170, 0x7aa3cd5db82400d2ull},
-  {"deflate/fig9/L6", 407185, 0x462bba900009c4a9ull},
-  {"deflate/fig9/L9", 406491, 0xc9bc146067c3949dull},
-  {"zlib/fig9", 407191, 0x6c574dc01a61a18aull},
-  {"gzip/fig9", 407203, 0xe47f0d90691bed36ull},
+  {"deflate/fig9/L1", 406886, 0x82cddd2465ba5f5dull},
+  {"deflate/fig9/L6", 404469, 0x8640b9d7f2fc054full},
+  {"deflate/fig9/L9", 403885, 0x5ff3315bce5fdc2bull},
+  {"zlib/fig9", 404475, 0xc99476029926c5f0ull},
+  {"gzip/fig9", 404487, 0xb7e34d2119cb2058ull},
   {"huffman_only/fig9", 477583, 0xaa2702ad20d33e77ull},
   {"payload/noise", 525189, 0x9eab79041e143474ull},
-  {"deflate/noise/L1", 487300, 0xf9a2dc96cd68dc9bull},
-  {"deflate/noise/L6", 486938, 0x41617c887bd49b24ull},
-  {"deflate/noise/L9", 486927, 0xa172adbce65dd9a1ull},
-  {"zlib/noise", 486944, 0x6467652c6aa1abf0ull},
-  {"gzip/noise", 486956, 0x0228a190e1947c3dull},
+  {"deflate/noise/L1", 486030, 0x11c483e9597c0f92ull},
+  {"deflate/noise/L6", 485703, 0xca4a1c70dc480d1aull},
+  {"deflate/noise/L9", 485692, 0x17a43f8d5df84befull},
+  {"zlib/noise", 485709, 0x72e57b964da0ef4eull},
+  {"gzip/noise", 485721, 0x86ddbd5b8a855aedull},
   {"huffman_only/noise", 507419, 0x1a86a10f69ff0dd2ull},
   {"zlib/structured_large", 24901, 0xf95af0449350c51bull},
   {"gzip/structured_large", 21870, 0x29f832ed5bc51fe0ull},
   {"payload_v3/fig9", 544677, 0x33c96d6e1ac00179ull},
-  {"wckp_v2/fig9", 344000, 0xda01d56f7fdf996eull},
+  {"wckp_v2/fig9/L6", 341216, 0xe430c7972aec507aull},
+  {"wckp_v2/fig9/L4", 342985, 0x9667cd23dc78551aull},
   {"payload_v3/noise", 525189, 0x35974f74203011eaull},
-  {"wckp_v2/noise", 448316, 0x28e5ee2b1417887aull},
+  {"wckp_v2/noise/L6", 448596, 0x1176cf5dcbcc9ddfull},
+  {"wckp_v2/noise/L4", 449148, 0xfc76a32366b5dd72ull},
 };
 // clang-format on
 
@@ -749,7 +760,7 @@ TEST(Deflate, CompressibleDataActuallyShrinks) {
 }
 
 TEST(Deflate, MultiBlockInputs) {
-  // > 64K tokens of literals forces multiple blocks.
+  // > 16 Ki tokens of literals forces multiple blocks.
   const Bytes data = random_bytes(200000, 10);
   const Bytes comp = deflate_compress(data, DeflateOptions{1});
   EXPECT_EQ(deflate_decompress(comp), data);
@@ -993,8 +1004,10 @@ Bytes zlib_ref_decompress(std::span<const std::byte> input, std::size_t expected
 TEST(ZlibInterop, ReferenceDecodesOurStreams) {
   for (const auto& c : round_trip_cases()) {
     SCOPED_TRACE(c.name);
-    const Bytes ours = zlib_compress(c.data);
-    EXPECT_EQ(zlib_ref_decompress(ours, c.data.size()), c.data);
+    for (const int level : {1, 4, 6, 9}) {
+      const Bytes ours = zlib_compress(c.data, DeflateOptions{level});
+      EXPECT_EQ(zlib_ref_decompress(ours, c.data.size()), c.data) << "level=" << level;
+    }
   }
 }
 

@@ -189,6 +189,19 @@ TEST(SegmentEnds, RejectsBadArguments) {
   EXPECT_THROW((void)segment_ends(30000, {}, 0), InvalidArgumentError);
 }
 
+TEST(ShardedDeflate, RejectsBadLevelBeforeCoding) {
+  // Random bytes: every segment would be stored, so the level is never
+  // needed, and a bad one must still be refused.
+  const Bytes noise = random_bytes(50000, 12);
+  for (const int level : {0, 10, 42, -1}) {
+    EXPECT_THROW((void)sharded_deflate_compress(noise, {level, kDefaultDeflateBlockSize, 1}),
+                 InvalidArgumentError)
+        << "level=" << level;
+  }
+  EXPECT_THROW((void)sharded_deflate_compress({}, {0, kDefaultDeflateBlockSize, 1}),
+               InvalidArgumentError);
+}
+
 TEST(ShardedDeflate, RejectsBadMagicAndVersion) {
   const Bytes packed = sharded_deflate_compress(make_payload(100), {6, 64, 1});
   Bytes bad_magic = packed;
