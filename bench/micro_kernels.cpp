@@ -1,15 +1,17 @@
 // SIMD kernel-layer throughput microbench: every src/simd/ kernel timed
-// at the scalar reference level and at each runtime-dispatchable vector
-// level (SSE2/AVX2 when the CPU has them), reporting MB/s and the
-// best-level speedup over scalar.
+// at the scalar reference level and at AVX2 when the CPU has it,
+// reporting MB/s and the speedup of the level production dispatches
+// (detected_best()) over scalar. That speedup reads below 1.0x when the
+// vector variant loses, which is the signal to take a kernel out of the
+// table and make it plain code at its caller.
 //
-// Before timing, each vector level's output is checked byte-identical
+// Before timing, the vector level's output is checked byte-identical
 // to the scalar reference on the same input — the bench refuses to
 // report a throughput number for a kernel that is not bit-exact.
 //
 // Emits a wck-bench-record (--bench-json[=PATH]) with per-level gauges
-// (kernel.<name>.<level>.mbps) and per-kernel best-over-scalar speedups
-// in report.params (speedup_<name>). check_bench_regress.py treats a
+// (kernel.<name>.<level>.mbps) and per-kernel dispatched-over-scalar
+// speedups in report.params (speedup_<name>). check_bench_regress.py treats a
 // record carrying simd_best_level as self-baselining: on vector-capable
 // hardware at least --simd-min-kernels kernels must clear
 // --simd-speedup (default 2 kernels at >= 1.5x).
@@ -53,7 +55,7 @@ double mbps(std::size_t bytes, double seconds) {
 /// derived quantizer/bitmap/byte views.
 struct Workload {
   std::vector<double> values;       // n doubles
-  std::vector<std::byte> bytes;     // n*8 bytes (LE-packed values)
+  std::vector<unsigned char> bytes; // the n*8 bytes of values
   double lo = 0.0;
   double inv_width = 0.0;
   std::int32_t divisions = 256;
@@ -80,7 +82,7 @@ Workload make_workload(std::size_t n, std::uint64_t seed) {
 
   const simd::KernelTable& scalar = simd::kernels_for(simd::Level::kScalar);
   w.bytes.resize(n * 8);
-  if (n > 0) scalar.pack_f64_le(w.values.data(), n, w.bytes.data());
+  if (n > 0) std::memcpy(w.bytes.data(), w.values.data(), n * 8);
 
   double mn = 0.0, mx = 0.0;
   if (n > 0) scalar.range_min_max(w.values.data(), n, &mn, &mx);
@@ -128,14 +130,14 @@ int main(int argc, char** argv) {
   const int repeats = static_cast<int>(args.get_int("repeats", 5));
   const int inner = static_cast<int>(args.get_int("inner", 8));
 
-  print_header("micro: SIMD kernel throughput, scalar vs dispatched levels",
+  print_header("micro: SIMD kernel throughput, scalar vs the dispatched level",
                "vector levels bit-identical to scalar; >= 1.5x speedup on "
                ">= 2 kernels on AVX2 hardware");
   telemetry::set_enabled(true);
 
   const Workload w = make_workload(n, 2015);
   const std::vector<simd::Level> levels = simd::available_levels();
-  const simd::Level best = levels.back();
+  const simd::Level best = simd::detected_best();
   std::printf("n = %zu doubles (%zu MB), repeats = %d (best-of), inner = %d\n", n,
               n * 8 / (1u << 20), repeats, inner);
   std::printf("detected best level: %s, timing:", simd::to_string(best));
@@ -150,40 +152,14 @@ int main(int argc, char** argv) {
   report.params["simd_best_level"] = simd::to_string(best);
 
   const simd::KernelTable& ref = simd::kernels_for(simd::Level::kScalar);
-  const std::size_t pairs = n / 2;
 
   // Scratch shared by the run() lambdas (allocated once, outside timing).
-  std::vector<double> low(pairs), high(pairs), dbl(n);
+  std::vector<double> dbl(n);
   std::vector<std::int32_t> idx(n);
   std::vector<std::uint64_t> words(w.words.size());
-  std::vector<std::byte> packed(n * 8);
   std::vector<double> ref_dbl(n);
-  std::vector<std::byte> ref_packed(n * 8);
 
   std::vector<KernelBench> benches;
-  benches.push_back(
-      {"haar_forward", pairs * 2 * 8,
-       [&](const simd::KernelTable& k) {
-         k.haar_forward_pairs(w.values.data(), low.data(), high.data(), pairs);
-       },
-       [&](const simd::KernelTable& k) {
-         std::vector<double> l2(pairs), h2(pairs);
-         ref.haar_forward_pairs(w.values.data(), l2.data(), h2.data(), pairs);
-         k.haar_forward_pairs(w.values.data(), low.data(), high.data(), pairs);
-         return std::memcmp(low.data(), l2.data(), pairs * 8) == 0 &&
-                std::memcmp(high.data(), h2.data(), pairs * 8) == 0;
-       }});
-  benches.push_back(
-      {"haar_inverse", pairs * 2 * 8,
-       [&](const simd::KernelTable& k) {
-         k.haar_inverse_pairs(low.data(), high.data(), dbl.data(), pairs);
-       },
-       [&](const simd::KernelTable& k) {
-         ref.haar_forward_pairs(w.values.data(), low.data(), high.data(), pairs);
-         ref.haar_inverse_pairs(low.data(), high.data(), ref_dbl.data(), pairs);
-         k.haar_inverse_pairs(low.data(), high.data(), dbl.data(), pairs);
-         return std::memcmp(dbl.data(), ref_dbl.data(), pairs * 2 * 8) == 0;
-       }});
   benches.push_back(
       {"range_min_max", n * 8,
        [&](const simd::KernelTable& k) {
@@ -230,42 +206,13 @@ int main(int argc, char** argv) {
          return std::memcmp(dbl.data(), ref_dbl.data(), n * 8) == 0;
        }});
   benches.push_back(
-      {"pack_f64", n * 8,
-       [&](const simd::KernelTable& k) { k.pack_f64_le(w.values.data(), n, packed.data()); },
-       [&](const simd::KernelTable& k) {
-         ref.pack_f64_le(w.values.data(), n, ref_packed.data());
-         k.pack_f64_le(w.values.data(), n, packed.data());
-         return std::memcmp(packed.data(), ref_packed.data(), n * 8) == 0;
-       }});
-  benches.push_back(
-      {"unpack_f64", n * 8,
-       [&](const simd::KernelTable& k) { k.unpack_f64_le(w.bytes.data(), n, dbl.data()); },
-       [&](const simd::KernelTable& k) {
-         ref.unpack_f64_le(w.bytes.data(), n, ref_dbl.data());
-         k.unpack_f64_le(w.bytes.data(), n, dbl.data());
-         return std::memcmp(dbl.data(), ref_dbl.data(), n * 8) == 0;
-       }});
-  benches.push_back(
-      {"crc32", n * 8,
-       [&](const simd::KernelTable& k) {
-         (void)k.crc32_update(0xFFFFFFFFu,
-                              reinterpret_cast<const unsigned char*>(w.bytes.data()),
-                              w.bytes.size());
-       },
-       [&](const simd::KernelTable& k) {
-         const auto* p = reinterpret_cast<const unsigned char*>(w.bytes.data());
-         return k.crc32_update(0xFFFFFFFFu, p, w.bytes.size()) ==
-                ref.crc32_update(0xFFFFFFFFu, p, w.bytes.size());
-       }});
-  benches.push_back(
       {"adler32", n * 8,
        [&](const simd::KernelTable& k) {
          std::uint32_t a = 1, b = 0;
-         k.adler32_update(&a, &b, reinterpret_cast<const unsigned char*>(w.bytes.data()),
-                          w.bytes.size());
+         k.adler32_update(&a, &b, w.bytes.data(), w.bytes.size());
        },
        [&](const simd::KernelTable& k) {
-         const auto* p = reinterpret_cast<const unsigned char*>(w.bytes.data());
+         const unsigned char* p = w.bytes.data();
          std::uint32_t a1 = 1, b1 = 0, a2 = 1, b2 = 0;
          ref.adler32_update(&a1, &b1, p, w.bytes.size());
          k.adler32_update(&a2, &b2, p, w.bytes.size());
@@ -280,7 +227,7 @@ int main(int argc, char** argv) {
   int fast_kernels = 0;
   for (const KernelBench& kb : benches) {
     std::printf("%-15s", kb.name.c_str());
-    double scalar_mbps = 0.0, best_mbps = 0.0;
+    double scalar_mbps = 0.0, best_mbps = 0.0;  // best = the dispatched level
     for (const simd::Level lv : levels) {
       const simd::KernelTable& k = simd::kernels_for(lv);
       if (!kb.identical(k)) {
@@ -294,9 +241,13 @@ int main(int argc, char** argv) {
                           inner;
       const double rate = mbps(kb.bytes, secs);
       if (lv == simd::Level::kScalar) scalar_mbps = rate;
-      if (rate > best_mbps) best_mbps = rate;
+      if (lv == best) best_mbps = rate;
       std::printf(" %12.0f", rate);
-      WCK_GAUGE_SET("kernel." + kb.name + "." + std::string(simd::to_string(lv)) + ".mbps", rate);
+      // Not WCK_GAUGE_SET: its per-call-site handle would bind every
+      // kernel and level to the first name.
+      telemetry::MetricsRegistry::global()
+          .gauge("kernel." + kb.name + "." + simd::to_string(lv) + ".mbps")
+          .set(rate);
     }
     const double speedup = scalar_mbps > 0.0 ? best_mbps / scalar_mbps : 0.0;
     std::printf(" %8.2fx\n", speedup);

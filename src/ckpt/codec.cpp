@@ -23,15 +23,8 @@ Bytes serialize_raw(const NdArray<double>& array) {
 
 NdArray<double> parse_raw(std::span<const std::byte> data) {
   ByteReader r(data);
-  const std::uint8_t rank = r.u8();
-  if (rank < 1 || rank > kMaxRank) throw FormatError("raw array: invalid rank");
-  Shape shape = Shape::of_rank(rank);
-  for (std::size_t a = 0; a < rank; ++a) {
-    shape[a] = r.varint();
-    if (shape[a] == 0) throw FormatError("raw array: zero extent");
-  }
-  NdArray<double> out(shape);
-  r.f64_array(out.values());
+  const Shape shape = read_shape(r, "raw array");
+  NdArray<double> out(shape, r.f64_vector(shape.size()));
   if (!r.exhausted()) throw FormatError("raw array: trailing bytes");
   return out;
 }
@@ -99,11 +92,12 @@ Bytes FpcCodec::do_encode(const NdArray<double>& array, StageTimes* times) const
 
 NdArray<double> FpcCodec::do_decode(std::span<const std::byte> data) const {
   ByteReader r(data);
-  const std::uint8_t rank = r.u8();
-  if (rank < 1 || rank > kMaxRank) throw FormatError("fpc codec: invalid rank");
-  Shape shape = Shape::of_rank(rank);
-  for (std::size_t a = 0; a < rank; ++a) shape[a] = r.varint();
+  const Shape shape = read_shape(r, "fpc codec");
   std::vector<double> values = fpc_decompress(data.subspan(r.position()));
+  if (values.size() != shape.size()) {
+    throw FormatError("fpc codec: " + std::to_string(values.size()) +
+                      " values for shape " + shape.to_string());
+  }
   return NdArray<double>(shape, std::move(values));
 }
 

@@ -31,19 +31,14 @@ void scatter_image(std::span<const std::byte> image, const CheckpointRegistry& r
   const std::uint64_t fields = r.varint();
   for (std::uint64_t f = 0; f < fields; ++f) {
     const std::string name = r.str();
-    const std::uint8_t rank = r.u8();
-    if (rank < 1 || rank > kMaxRank) throw FormatError("image: invalid rank");
-    Shape shape = Shape::of_rank(rank);
-    for (std::size_t a = 0; a < rank; ++a) shape[a] = r.varint();
+    const Shape shape = read_shape(r, "image");
 
     NdArray<double>* target = registry.find(name);
     if (target == nullptr) throw FormatError("image: field " + name + " is not registered");
     if (target->size() != 0 && target->shape() != shape) {
       throw FormatError("image: field " + name + " shape mismatch");
     }
-    NdArray<double> decoded(shape);
-    r.f64_array(decoded.values());
-    *target = std::move(decoded);
+    *target = NdArray<double>(shape, r.f64_vector(shape.size()));
   }
   if (!r.exhausted()) throw FormatError("image: trailing bytes");
 }

@@ -55,12 +55,8 @@ NdArray<double> truncation_decompress(std::span<const std::byte> data) {
   const Bytes raw = zlib_decompress(data.subspan(r.position()));
 
   ByteReader rr(raw);
-  const std::uint8_t rank = rr.u8();
-  if (rank < 1 || rank > kMaxRank) throw FormatError("truncation: invalid rank");
-  Shape shape = Shape::of_rank(rank);
-  for (std::size_t a = 0; a < rank; ++a) shape[a] = rr.varint();
-  NdArray<double> out(shape);
-  rr.f64_array(out.values());
+  const Shape shape = read_shape(rr, "truncation");
+  NdArray<double> out(shape, rr.f64_vector(shape.size()));
   if (!rr.exhausted()) throw FormatError("truncation: trailing bytes");
   return out;
 }

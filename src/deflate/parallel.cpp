@@ -50,7 +50,7 @@ struct Segment {
 
 /// The fan-out runs on a process-shared pool sized to the machine, not
 /// a pool-per-call: checkpoint codecs may compress from several threads
-/// at once (chunked compression, async writers) and the segments of all
+/// at once (simulated ranks, async writers) and the segments of all
 /// of them should multiplex over one set of workers. Deliberately
 /// leaked — workers may touch telemetry singletons, so the pool must
 /// never be destroyed during static teardown. Still reachable through

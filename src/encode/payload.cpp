@@ -117,14 +117,9 @@ LossyPayload decode_payload(std::span<const std::byte> data) {
   if (wkind > 2) throw FormatError("payload: unknown wavelet kind");
   p.wavelet = static_cast<WaveletKind>(wkind);
   const std::uint8_t rank = r.u8();
-  if (rank < 1 || rank > kMaxRank) throw FormatError("payload: invalid rank");
   p.levels = r.u8();
   if (p.levels < 1) throw FormatError("payload: invalid transform depth");
-  p.shape = Shape::of_rank(rank);
-  for (std::size_t a = 0; a < rank; ++a) {
-    p.shape[a] = r.varint();
-    if (p.shape[a] == 0) throw FormatError("payload: zero extent");
-  }
+  p.shape = read_extents(r, rank, "payload");
 
   const std::uint64_t n_avg = r.varint();
   const std::uint64_t n_low = r.varint();

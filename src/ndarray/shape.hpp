@@ -7,10 +7,14 @@
 
 #include <array>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <numeric>
 #include <string>
+#include <string_view>
 
+#include "util/bytes.hpp"
 #include "util/error.hpp"
 
 namespace wck {
@@ -92,5 +96,38 @@ class Shape {
   std::size_t rank_ = 0;
   std::array<std::size_t, kMaxRank> ext_{};
 };
+
+/// Reads `rank` varint extents of an untrusted stream and checks them:
+/// rank 1..kMaxRank, every extent >= 1, and an element count whose size
+/// in doubles fits in size_t, so size() and size_bytes() never wrap.
+/// Every decoder reads its shape through here (or read_shape); a hostile
+/// header is a FormatError prefixed with `what`. Decoders whose values
+/// follow inline still check them against the bytes left before they
+/// allocate (ByteReader::f64_vector does).
+[[nodiscard]] inline Shape read_extents(ByteReader& r, std::size_t rank, std::string_view what) {
+  if (rank < 1 || rank > kMaxRank) {
+    throw FormatError(std::string(what) + ": rank " + std::to_string(rank) + " outside 1.." +
+                      std::to_string(kMaxRank));
+  }
+  constexpr std::size_t kMaxElements = std::numeric_limits<std::size_t>::max() / sizeof(double);
+  Shape shape = Shape::of_rank(rank);
+  std::size_t count = 1;
+  for (std::size_t a = 0; a < rank; ++a) {
+    const std::uint64_t ext = r.varint();
+    if (ext == 0) throw FormatError(std::string(what) + ": zero extent");
+    if (ext > kMaxElements / count) {
+      throw FormatError(std::string(what) + ": element count overflows");
+    }
+    shape[a] = static_cast<std::size_t>(ext);
+    count *= shape[a];
+  }
+  return shape;
+}
+
+/// Reads a u8 rank followed by its extents (see read_extents).
+[[nodiscard]] inline Shape read_shape(ByteReader& r, std::string_view what) {
+  const std::size_t rank = r.u8();
+  return read_extents(r, rank, what);
+}
 
 }  // namespace wck

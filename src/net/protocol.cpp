@@ -10,20 +10,7 @@ void put_shape(ByteWriter& w, const Shape& shape) {
   for (std::size_t a = 0; a < shape.rank(); ++a) w.varint(shape[a]);
 }
 
-[[nodiscard]] Shape get_shape(ByteReader& r) {
-  const std::uint8_t rank = r.u8();
-  if (rank == 0 || rank > kMaxRank) {
-    throw FormatError("net message: shape rank " + std::to_string(rank) +
-                      " outside 1.." + std::to_string(kMaxRank));
-  }
-  Shape shape = Shape::of_rank(rank);
-  for (std::size_t a = 0; a < rank; ++a) {
-    const std::uint64_t ext = r.varint();
-    if (ext == 0) throw FormatError("net message: zero shape extent");
-    shape[a] = static_cast<std::size_t>(ext);
-  }
-  return shape;
-}
+[[nodiscard]] Shape get_shape(ByteReader& r) { return read_shape(r, "net message: shape"); }
 
 void put_values(ByteWriter& w, const Shape& shape, const std::vector<double>& values) {
   if (values.size() != shape.size()) {
@@ -43,12 +30,7 @@ void put_values(ByteWriter& w, const Shape& shape, const std::vector<double>& va
     throw FormatError("net message: value count " + std::to_string(count) +
                       " does not match shape " + shape.to_string());
   }
-  if (count > r.remaining() / sizeof(double)) {
-    throw FormatError("net message: value block truncated");
-  }
-  std::vector<double> values(static_cast<std::size_t>(count));
-  r.f64_array(values);
-  return values;
+  return r.f64_vector(count);
 }
 
 void expect_exhausted(const ByteReader& r, const char* what) {

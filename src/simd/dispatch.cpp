@@ -20,8 +20,6 @@ const KernelTable* table_for(Level level) noexcept {
   switch (level) {
     case Level::kScalar:
       return detail::scalar_table();
-    case Level::kSse2:
-      return detail::sse2_table();
     case Level::kAvx2:
       return detail::avx2_table();
   }
@@ -35,7 +33,7 @@ Level resolve_from_env() {
   const auto parsed = parse_level(*raw);
   if (!parsed) return best;  // unknown value behaves as "auto"
   // A request above what the machine supports clamps down rather than
-  // failing: WCK_SIMD=avx2 on an SSE2-only box still runs.
+  // failing: WCK_SIMD=avx2 on a CPU without AVX2 still runs, scalar.
   return static_cast<int>(*parsed) < static_cast<int>(best) ? *parsed : best;
 }
 
@@ -49,8 +47,6 @@ const char* to_string(Level level) noexcept {
   switch (level) {
     case Level::kScalar:
       return "scalar";
-    case Level::kSse2:
-      return "sse2";
     case Level::kAvx2:
       return "avx2";
   }
@@ -59,7 +55,6 @@ const char* to_string(Level level) noexcept {
 
 std::optional<Level> parse_level(std::string_view s) noexcept {
   if (s == "scalar") return Level::kScalar;
-  if (s == "sse2") return Level::kSse2;
   if (s == "avx2") return Level::kAvx2;
   return std::nullopt;
 }
@@ -67,16 +62,13 @@ std::optional<Level> parse_level(std::string_view s) noexcept {
 Level detected_best() noexcept {
 #if defined(__x86_64__)
   if (detail::avx2_table() != nullptr && __builtin_cpu_supports("avx2")) return Level::kAvx2;
-  if (detail::sse2_table() != nullptr && __builtin_cpu_supports("sse2")) return Level::kSse2;
 #endif
   return Level::kScalar;
 }
 
 std::vector<Level> available_levels() {
   std::vector<Level> out{Level::kScalar};
-  const Level best = detected_best();
-  if (best >= Level::kSse2) out.push_back(Level::kSse2);
-  if (best >= Level::kAvx2) out.push_back(Level::kAvx2);
+  if (detected_best() == Level::kAvx2) out.push_back(Level::kAvx2);
   return out;
 }
 

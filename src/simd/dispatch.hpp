@@ -1,20 +1,24 @@
 // Runtime-dispatched SIMD kernel layer for the numeric hot path.
 //
-// Every kernel exists at three levels — portable scalar, SSE2, AVX2 —
-// and all levels are bit-identical: the vector paths are restricted to
-// operations whose IEEE-754 results match the scalar reference exactly
-// (power-of-two scaling, min/max with explicit NaN ordering, integer
-// table lookups, pure data movement). Callers fetch a KernelTable once
-// per batch via kernels() and never include intrinsics headers
-// themselves (wck_lint rule "raw-simd" enforces this: intrinsics live
-// only under src/simd/).
+// Every kernel exists at two levels, portable scalar and AVX2, and both
+// are bit-identical: the vector paths are restricted to operations whose
+// IEEE-754 results match the scalar reference exactly (min/max with
+// explicit NaN ordering, separately rounded subtract-then-multiply,
+// integer arithmetic, pure data movement). Callers fetch a KernelTable once per
+// batch via kernels() and never include intrinsics headers themselves
+// (wck_lint rule "raw-simd" enforces this: intrinsics live only under
+// src/simd/).
 //
-// Level selection: the best level supported by both the build and the
-// CPU (CPUID at first use), overridable with WCK_SIMD=scalar|sse2|avx2|auto
+// A kernel enters the table only when bench/micro_kernels shows its AVX2
+// variant beating scalar; otherwise it is plain code at its one caller.
+//
+// Level selection: AVX2 when both the build and the CPU (CPUID at first
+// use) support it, else scalar; overridable with WCK_SIMD=scalar|avx2|auto
 // through the wck::env cache. A request above what the CPU supports
 // clamps down; unknown values behave as "auto". The resolved level is
 // cached for the process lifetime and published as the "simd.level"
-// telemetry gauge so bench records are comparable across machines.
+// telemetry gauge (0 scalar, 2 avx2) so bench records are comparable
+// across machines.
 #pragma once
 
 #include <cstddef>
@@ -25,30 +29,22 @@
 
 namespace wck::simd {
 
-/// Dispatch levels, ordered weakest to strongest.
+/// Dispatch levels, ordered weakest to strongest. The values are the
+/// published gauge values and stay fixed across releases.
 enum class Level : int {
   kScalar = 0,
-  kSse2 = 1,
   kAvx2 = 2,
 };
 
 [[nodiscard]] const char* to_string(Level level) noexcept;
 
-/// Parses "scalar" / "sse2" / "avx2". Anything else (including "auto")
-/// returns nullopt.
+/// Parses "scalar" / "avx2". Anything else (including "auto") returns
+/// nullopt.
 [[nodiscard]] std::optional<Level> parse_level(std::string_view s) noexcept;
 
-/// One function pointer per kernel. All levels compute bit-identical
+/// One function pointer per kernel. Both levels compute bit-identical
 /// results; only throughput differs.
 struct KernelTable {
-  /// Haar forward over `pairs` contiguous (a, b) pairs:
-  /// low[i] = (src[2i] + src[2i+1]) / 2, high[i] = (src[2i] - src[2i+1]) / 2.
-  /// low/high must not alias src.
-  void (*haar_forward_pairs)(const double* src, double* low, double* high, std::size_t pairs);
-  /// Inverse: dst[2i] = low[i] + high[i], dst[2i+1] = low[i] - high[i].
-  /// dst must not alias low/high.
-  void (*haar_inverse_pairs)(const double* low, const double* high, double* dst,
-                             std::size_t pairs);
   /// Min/max over v[0..n). Matches the sequential fold
   /// `lo = (v < lo) ? v : lo` seeded with v[0] (NaN seed is sticky,
   /// later NaNs are ignored), except that a ±0.0 result is canonicalized
@@ -67,13 +63,6 @@ struct KernelTable {
   /// #indices, n - popcount == #exact, and every index < #averages.
   void (*bitmap_select)(const std::uint64_t* words, std::size_t n, const double* averages,
                         const std::uint8_t* indices, const double* exact, double* out);
-  /// n doubles -> 8n little-endian bytes (bit pattern, no conversion).
-  void (*pack_f64_le)(const double* v, std::size_t n, std::byte* out);
-  /// 8n little-endian bytes -> n doubles.
-  void (*unpack_f64_le)(const std::byte* in, std::size_t n, double* out);
-  /// CRC-32 (polynomial 0xEDB88320, reflected). `state` is the running
-  /// pre-inversion register; Crc32 owns the init/final xor.
-  std::uint32_t (*crc32_update)(std::uint32_t state, const unsigned char* p, std::size_t n);
   /// Adler-32 accumulator step over p[0..n): a += p[i]; b += a, both
   /// reduced mod 65521 at least every 5552 bytes.
   void (*adler32_update)(std::uint32_t* a, std::uint32_t* b, const unsigned char* p,
@@ -83,7 +72,8 @@ struct KernelTable {
 /// Strongest level supported by this build AND this CPU.
 [[nodiscard]] Level detected_best() noexcept;
 
-/// Every level runnable on this machine: kScalar up to detected_best().
+/// Every level runnable on this machine: kScalar, then kAvx2 if
+/// detected_best() is kAvx2.
 [[nodiscard]] std::vector<Level> available_levels();
 
 /// The process-wide level: WCK_SIMD-resolved on first call, then cached.

@@ -2,7 +2,6 @@
 // Only src/simd/ may include this header.
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 
@@ -10,41 +9,16 @@
 
 namespace wck::simd::detail {
 
-/// Per-level tables. scalar_table() always exists; the x86 tables
-/// return nullptr when the translation unit was built without the
-/// matching instruction set (non-x86 targets, or a compiler without
-/// -mavx2 support).
+/// Per-level tables. scalar_table() always exists; avx2_table() returns
+/// nullptr when its translation unit was built without AVX2 (non-x86
+/// targets, or a compiler without -mavx2 support).
 [[nodiscard]] const KernelTable* scalar_table() noexcept;
-[[nodiscard]] const KernelTable* sse2_table() noexcept;
 [[nodiscard]] const KernelTable* avx2_table() noexcept;
-
-// --- helpers shared by the level TUs so tails and references run the
-// --- exact same code path.
-
-/// CRC-32 lookup tables (polynomial 0xEDB88320) for slice-by-N; the
-/// scalar reference uses t[0..3], slice-by-8 uses all eight.
-struct CrcTables {
-  std::array<std::array<std::uint32_t, 256>, 8> t{};
-  CrcTables() noexcept;
-};
-[[nodiscard]] const CrcTables& crc_tables() noexcept;
-
-/// Slice-by-8 CRC-32 update (same polynomial => same values as the
-/// scalar slice-by-4 reference by construction). Shared by the SSE2 and
-/// AVX2 tables.
-[[nodiscard]] std::uint32_t crc32_update_slice8(std::uint32_t state, const unsigned char* p,
-                                                std::size_t n);
 
 // Kernel tail loops use wck::simd::grid_index_one (dispatch.hpp) so the
 // single-value reference lives in exactly one place.
 
-/// Word-at-a-time bitmap_select: full all-ones / all-zeros words take
-/// bulk paths, mixed words fall back to per-bit selection. Used by the
-/// SSE2 table (no gather before AVX2) and by the AVX2 tail.
-void bitmap_select_wordfast(const std::uint64_t* words, std::size_t n, const double* averages,
-                            const std::uint8_t* indices, const double* exact, double* out);
-
-/// Adler-32 scalar tail shared by the vector levels: the plain
+/// Adler-32 scalar tail shared by both levels: the plain
 /// `a += p[i]; b += a` loop with NO modular reduction (the caller
 /// reduces once per <= 5552-byte chunk).
 inline void adler32_tail(std::uint32_t& a, std::uint32_t& b, const unsigned char* p,

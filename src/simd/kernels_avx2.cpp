@@ -1,9 +1,21 @@
 // AVX2 kernels. This TU is the only one compiled with -mavx2 (and
 // nothing more: no FMA — fused contraction would break bit-identity of
-// separately rounded add-then-multiply sequences).
+// separately rounded subtract-then-multiply sequences).
 //
-// Same bit-identity arguments as kernels_sse2.cpp, widened to 4 lanes;
-// see that file for the NaN/±0/clamping reasoning.
+// Bit-identity notes, mirrored in tests/simd_test.cpp:
+//  * _mm256_min_pd(x, acc) computes (x < acc) ? x : acc and returns the
+//    second operand when either is NaN — exactly the scalar fold
+//    `mn = (v < mn) ? v : mn`: NaN inputs are ignored, a NaN seed is
+//    sticky. Seeding every lane with v[0] (not the first vector) keeps
+//    the NaN-seed semantics identical to the sequential fold.
+//  * grid index: clamping x into [0, divisions-1] in the double domain
+//    and then truncating equals floor-then-clamp for every input the
+//    contract defines (truncation == floor once x >= 1; max_pd(x, 0)
+//    maps NaN and negatives to 0, its second operand winning on NaN;
+//    min_pd clamps +inf and overflow).
+//  * bitmap select and the bitmap pack are pure data movement; Adler-32
+//    sums non-negative terms in uint32 with no wrap inside a 5552-byte
+//    chunk, so the vector totals equal the sequential loop's.
 #include "simd/kernels.hpp"
 
 #if defined(__x86_64__) && defined(__AVX2__)
@@ -14,45 +26,6 @@
 
 namespace wck::simd::detail {
 namespace {
-
-void haar_forward_pairs(const double* src, double* low, double* high, std::size_t pairs) {
-  const __m256d half = _mm256_set1_pd(0.5);
-  std::size_t i = 0;
-  for (; i + 4 <= pairs; i += 4) {
-    const __m256d v0 = _mm256_loadu_pd(src + 2 * i);      // a0 b0 a1 b1
-    const __m256d v1 = _mm256_loadu_pd(src + 2 * i + 4);  // a2 b2 a3 b3
-    const __m256d t0 = _mm256_permute2f128_pd(v0, v1, 0x20);  // a0 b0 a2 b2
-    const __m256d t1 = _mm256_permute2f128_pd(v0, v1, 0x31);  // a1 b1 a3 b3
-    const __m256d a = _mm256_unpacklo_pd(t0, t1);             // a0 a1 a2 a3
-    const __m256d b = _mm256_unpackhi_pd(t0, t1);             // b0 b1 b2 b3
-    _mm256_storeu_pd(low + i, _mm256_mul_pd(_mm256_add_pd(a, b), half));
-    _mm256_storeu_pd(high + i, _mm256_mul_pd(_mm256_sub_pd(a, b), half));
-  }
-  for (; i < pairs; ++i) {
-    const double a = src[2 * i];
-    const double b = src[2 * i + 1];
-    low[i] = (a + b) / 2.0;
-    high[i] = (a - b) / 2.0;
-  }
-}
-
-void haar_inverse_pairs(const double* low, const double* high, double* dst, std::size_t pairs) {
-  std::size_t i = 0;
-  for (; i + 4 <= pairs; i += 4) {
-    const __m256d lo = _mm256_loadu_pd(low + i);
-    const __m256d hi = _mm256_loadu_pd(high + i);
-    const __m256d sum = _mm256_add_pd(lo, hi);
-    const __m256d diff = _mm256_sub_pd(lo, hi);
-    const __m256d u0 = _mm256_unpacklo_pd(sum, diff);  // s0 d0 s2 d2
-    const __m256d u1 = _mm256_unpackhi_pd(sum, diff);  // s1 d1 s3 d3
-    _mm256_storeu_pd(dst + 2 * i, _mm256_permute2f128_pd(u0, u1, 0x20));
-    _mm256_storeu_pd(dst + 2 * i + 4, _mm256_permute2f128_pd(u0, u1, 0x31));
-  }
-  for (; i < pairs; ++i) {
-    dst[2 * i] = low[i] + high[i];
-    dst[2 * i + 1] = low[i] - high[i];
-  }
-}
 
 void range_min_max(const double* v, std::size_t n, double* lo, double* hi) {
   __m256d vmn = _mm256_set1_pd(v[0]);
@@ -156,30 +129,6 @@ void bitmap_select(const std::uint64_t* words, std::size_t n, const double* aver
   }
 }
 
-void pack_f64_le(const double* v, std::size_t n, std::byte* out) {
-  if (n == 0) return;  // empty vectors hand memcpy a null data() pointer (UB)
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d a = _mm256_loadu_pd(v + i);
-    const __m256d b = _mm256_loadu_pd(v + i + 4);
-    _mm256_storeu_pd(reinterpret_cast<double*>(out + 8 * i), a);
-    _mm256_storeu_pd(reinterpret_cast<double*>(out + 8 * i + 32), b);
-  }
-  if (i < n) std::memcpy(out + 8 * i, v + i, (n - i) * sizeof(double));
-}
-
-void unpack_f64_le(const std::byte* in, std::size_t n, double* out) {
-  if (n == 0) return;  // empty vectors hand memcpy a null data() pointer (UB)
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256d a = _mm256_loadu_pd(reinterpret_cast<const double*>(in + 8 * i));
-    const __m256d b = _mm256_loadu_pd(reinterpret_cast<const double*>(in + 8 * i + 32));
-    _mm256_storeu_pd(out + i, a);
-    _mm256_storeu_pd(out + i + 4, b);
-  }
-  if (i < n) std::memcpy(out + i, in + 8 * i, (n - i) * sizeof(double));
-}
-
 void adler32_update(std::uint32_t* pa, std::uint32_t* pb, const unsigned char* p, std::size_t n) {
   constexpr std::uint32_t kMod = 65521;
   constexpr std::size_t kBlock = 5552;
@@ -217,9 +166,7 @@ void adler32_update(std::uint32_t* pa, std::uint32_t* pb, const unsigned char* p
 }
 
 constexpr KernelTable kAvx2Table{
-    haar_forward_pairs, haar_inverse_pairs, range_min_max, grid_index_batch,
-    bitmap_pack_ge0,    bitmap_select,      pack_f64_le,   unpack_f64_le,
-    crc32_update_slice8, adler32_update,
+    range_min_max, grid_index_batch, bitmap_pack_ge0, bitmap_select, adler32_update,
 };
 
 }  // namespace

@@ -96,19 +96,13 @@ NdArray<double> szlike_decompress(std::span<const std::byte> data) {
   ByteReader rd(raw);
   if (rd.u32() != kMagic) throw FormatError("szlike: bad magic");
   if (rd.u8() != kVersion) throw FormatError("szlike: unsupported version");
-  const std::uint8_t rank = rd.u8();
-  if (rank < 1 || rank > kMaxRank) throw FormatError("szlike: invalid rank");
-  Shape shape = Shape::of_rank(rank);
-  for (std::size_t a = 0; a < rank; ++a) {
-    shape[a] = rd.varint();
-    if (shape[a] == 0) throw FormatError("szlike: zero extent");
-  }
+  const Shape shape = read_shape(rd, "szlike");
+  const std::size_t rank = shape.rank();
   const double eb = rd.f64();
   if (!(eb > 0.0)) throw FormatError("szlike: invalid error bound");
   const std::uint64_t n_exact = rd.varint();
   const auto codes = rd.raw(shape.size());
-  std::vector<double> exact(n_exact);
-  rd.f64_array(exact);
+  const std::vector<double> exact = rd.f64_vector(n_exact);
   if (!rd.exhausted()) throw FormatError("szlike: trailing bytes");
 
   const double step = 2.0 * eb;

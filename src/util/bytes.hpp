@@ -16,7 +16,6 @@
 #include <string_view>
 #include <vector>
 
-#include "simd/dispatch.hpp"
 #include "util/error.hpp"
 
 namespace wck {
@@ -61,14 +60,15 @@ class ByteWriter {
   }
   void raw(std::span<const std::byte> data) { raw(data.data(), data.size()); }
 
-  /// Raw span of doubles (little-endian each), bulk-packed through the
-  /// dispatched kernel (the scalar level is memcpy on LE hosts).
+  /// Raw span of doubles (little-endian each): one memcpy on
+  /// little-endian hosts, a per-value loop otherwise.
   void f64_array(std::span<const double> v) {
-    if (v.empty()) return;
-    Bytes& buf = buffer();
-    const std::size_t old = buf.size();
-    buf.resize(old + v.size() * sizeof(double));
-    simd::kernels().pack_f64_le(v.data(), v.size(), buf.data() + old);
+    if (v.empty()) return;  // an empty span may carry a null base
+    if constexpr (std::endian::native == std::endian::little) {
+      raw(v.data(), v.size() * sizeof(double));
+    } else {
+      for (const double x : v) f64(x);
+    }
   }
 
   [[nodiscard]] Bytes& buffer() noexcept { return buf_ ? *buf_ : owned_; }
@@ -145,12 +145,30 @@ class ByteReader {
     return out;
   }
 
-  /// Reads `count` little-endian doubles into `out` through the
-  /// dispatched unpack kernel.
+  /// Reads out.size() little-endian doubles into `out`: one memcpy on
+  /// little-endian hosts, a per-value loop otherwise.
   void f64_array(std::span<double> out) {
     const auto bytes = raw(out.size() * sizeof(double));
     if (out.empty()) return;  // a null span base is UB to pass even for n == 0
-    simd::kernels().unpack_f64_le(bytes.data(), out.size(), out.data());
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(out.data(), bytes.data(), bytes.size());
+    } else {
+      ByteReader values(bytes);
+      for (double& x : out) x = values.f64();
+    }
+  }
+
+  /// Reads `count` little-endian doubles into a new vector. The count is
+  /// checked against the bytes left before anything is allocated, so a
+  /// hostile count is a FormatError, not an allocation.
+  [[nodiscard]] std::vector<double> f64_vector(std::uint64_t count) {
+    if (count > remaining() / sizeof(double)) {
+      throw FormatError("byte stream truncated: " + std::to_string(count) +
+                        " doubles declared, " + std::to_string(remaining()) + " bytes left");
+    }
+    std::vector<double> out(static_cast<std::size_t>(count));
+    f64_array(out);
+    return out;
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }

@@ -1,56 +1,37 @@
 #include "wavelet/haar.hpp"
 
 #include <array>
-#include <cstring>
 #include <string>
 
-#include "simd/dispatch.hpp"
 #include "util/error.hpp"
 
 namespace wck {
 namespace {
 
-/// Forward transform of one line into [L | H] layout. Stride-1 lines
-/// (the innermost axis, the bulk of the work) go through the dispatched
-/// pairwise kernel; strided lines keep the scalar loop, which the
-/// kernel is bit-identical to.
-void line_forward(const Line<double>& ln, std::vector<double>& scratch,
-                  const simd::KernelTable& k) {
+/// Forward transform of one line into [L | H] layout.
+void line_forward(const Line<double>& ln, std::vector<double>& scratch) {
   const std::size_t n = ln.count;
   if (n < 2) return;
   const std::size_t pairs = n / 2;
   const std::size_t nl = n - pairs;  // ceil(n/2): averages + odd leftover
   scratch.resize(n);
-  if (ln.stride == 1) {
-    k.haar_forward_pairs(ln.base, scratch.data(), scratch.data() + nl, pairs);
-    if (n % 2 != 0) scratch[pairs] = ln.base[n - 1];  // unpaired element joins L
-    std::memcpy(ln.base, scratch.data(), n * sizeof(double));
-    return;
-  }
   for (std::size_t i = 0; i < pairs; ++i) {
     const double a = ln[2 * i];
     const double b = ln[2 * i + 1];
     scratch[i] = (a + b) / 2.0;       // L (Eq. 2)
     scratch[nl + i] = (a - b) / 2.0;  // H (Eq. 3)
   }
-  if (n % 2 != 0) scratch[pairs] = ln[n - 1];
+  if (n % 2 != 0) scratch[pairs] = ln[n - 1];  // unpaired element joins L
   for (std::size_t i = 0; i < n; ++i) ln[i] = scratch[i];
 }
 
 /// Inverse of line_forward.
-void line_inverse(const Line<double>& ln, std::vector<double>& scratch,
-                  const simd::KernelTable& k) {
+void line_inverse(const Line<double>& ln, std::vector<double>& scratch) {
   const std::size_t n = ln.count;
   if (n < 2) return;
   const std::size_t pairs = n / 2;
   const std::size_t nl = n - pairs;
   scratch.resize(n);
-  if (ln.stride == 1) {
-    k.haar_inverse_pairs(ln.base, ln.base + nl, scratch.data(), pairs);
-    if (n % 2 != 0) scratch[n - 1] = ln.base[pairs];
-    std::memcpy(ln.base, scratch.data(), n * sizeof(double));
-    return;
-  }
   for (std::size_t i = 0; i < pairs; ++i) {
     const double lo = ln[i];
     const double hi = ln[nl + i];
@@ -92,12 +73,10 @@ WaveletPlan WaveletPlan::create(const Shape& shape, int levels) {
 void haar_forward(NdSpan<double> a, int levels) {
   if (levels < 1) throw InvalidArgumentError("wavelet levels must be >= 1");
   std::vector<double> scratch;
-  const simd::KernelTable& k = simd::kernels();
   NdSpan<double> block = a;
   for (int l = 0; l < levels; ++l) {
     for (std::size_t ax = 0; ax < block.rank(); ++ax) {
-      block.for_each_line(ax,
-                          [&scratch, &k](const Line<double>& ln) { line_forward(ln, scratch, k); });
+      block.for_each_line(ax, [&scratch](const Line<double>& ln) { line_forward(ln, scratch); });
     }
     block = low_block(block, halved(block.shape()));
   }
@@ -122,12 +101,10 @@ void haar_inverse(NdSpan<double> a, int levels) {
     block = low_block(block, halved(block.shape()));
   }
   std::vector<double> scratch;
-  const simd::KernelTable& k = simd::kernels();
   for (int l = levels; l-- > 0;) {
     NdSpan<double> b = blocks[static_cast<std::size_t>(l)];
     for (std::size_t ax = b.rank(); ax-- > 0;) {
-      b.for_each_line(ax,
-                      [&scratch, &k](const Line<double>& ln) { line_inverse(ln, scratch, k); });
+      b.for_each_line(ax, [&scratch](const Line<double>& ln) { line_inverse(ln, scratch); });
     }
   }
 }

@@ -164,13 +164,8 @@ NdArray<double> zfplike_decompress(std::span<const std::byte> data) {
   ByteReader rd(raw);
   if (rd.u32() != kMagic) throw FormatError("zfplike: bad magic");
   if (rd.u8() != kVersion) throw FormatError("zfplike: unsupported version");
-  const std::uint8_t r = rd.u8();
-  if (r < 1 || r > kMaxRank) throw FormatError("zfplike: invalid rank");
-  Shape shape = Shape::of_rank(r);
-  for (std::size_t a = 0; a < r; ++a) {
-    shape[a] = rd.varint();
-    if (shape[a] == 0) throw FormatError("zfplike: zero extent");
-  }
+  const Shape shape = read_shape(rd, "zfplike");
+  const std::size_t r = shape.rank();
   const int precision = rd.u8();
   check_options(ZfpLikeOptions{precision, 6});
 
@@ -182,6 +177,9 @@ NdArray<double> zfplike_decompress(std::span<const std::byte> data) {
     block_count *= nblocks[a];
     block_elems *= kBlockSide;
   }
+  // Every block costs at least its kind byte: a header promising more
+  // blocks than the stream has bytes is rejected before the allocation.
+  if (block_count > rd.remaining()) throw FormatError("zfplike: fewer bytes than blocks");
 
   NdArray<double> out(shape);
   auto view = out.view();

@@ -5,7 +5,6 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/codec.hpp"
-#include "core/chunked.hpp"
 #include "core/compressor.hpp"
 #include "core/synthetic.hpp"
 #include "core/truncation.hpp"
@@ -54,7 +53,6 @@ TEST(Fuzz, DeflateDecodersRejectGarbage) {
 TEST(Fuzz, PayloadAndStreamDecodersRejectGarbage) {
   fuzz_decoder("payload", [](const Bytes& b) { (void)decode_payload(b); }, 5);
   fuzz_decoder("compressor", [](const Bytes& b) { (void)WaveletCompressor::decompress(b); }, 6);
-  fuzz_decoder("chunked", [](const Bytes& b) { (void)chunked_decompress(b); }, 7);
   fuzz_decoder("fpc", [](const Bytes& b) { (void)fpc_decompress(b); }, 8);
   fuzz_decoder("truncation", [](const Bytes& b) { (void)truncation_decompress(b); }, 9);
 }

@@ -13,11 +13,11 @@
 #include <string>
 #include <vector>
 
-#include "core/chunked.hpp"
 #include "core/compressor.hpp"
 #include "core/synthetic.hpp"
 #include "deflate/deflate.hpp"
 #include "legacy_writers.hpp"
+#include "parallel/rank_set.hpp"
 #include "util/env.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -380,24 +380,34 @@ TEST(CompressorSharded, IdenticalStreamsForAnyWckThreadsValue) {
   for (std::size_t i = 1; i < streams.size(); ++i) EXPECT_EQ(streams[i], streams[0]) << i;
 }
 
-TEST(CompressorSharded, ChunkedComposesWithSharding) {
-  // Slab-level parallelism (caller's pool) nested over segment-level
-  // parallelism (the engine's own pool) must round-trip and stay
-  // deterministic.
-  const NdArray<double> field = make_temperature_field(Shape{64, 64}, 13);
-  ThreadPool pool(2);
-  ChunkedParams params;
-  params.chunks = 4;
-  params.base.threads = 2;
-  params.base.deflate_block_size = 2048;
-  const CompressedArray a = chunked_compress(field, params, &pool);
-  const CompressedArray b = chunked_compress(field, params, nullptr);
-  EXPECT_EQ(a.data, b.data);
-  const NdArray<double> restored = chunked_decompress(a.data, &pool);
-  ASSERT_EQ(restored.shape(), field.shape());
-  const NdArray<double> reference = chunked_decompress(a.data, nullptr);
-  EXPECT_TRUE(std::equal(restored.values().begin(), restored.values().end(),
-                         reference.values().begin()));
+TEST(CompressorSharded, ComposesWithRankSetWorkers) {
+  // A threads = 2 compress running on another pool's workers, as
+  // bench/ext_weak_scaling does through RankSet when WCK_THREADS > 1:
+  // the engine's own pool nests under the caller's without deadlock,
+  // writes the bytes an inline compress writes, and decodes on the
+  // workers to the inline reconstruction.
+  CompressionParams params;
+  params.threads = 2;
+  params.deflate_block_size = 2048;
+  const WaveletCompressor compressor(params);
+  constexpr std::size_t kRanks = 4;
+  std::vector<NdArray<double>> fields;
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    fields.push_back(make_temperature_field(Shape{64, 64}, 13 + r));
+  }
+  RankSet ranks(kRanks, 2);
+  const std::vector<Bytes> streams =
+      ranks.map<Bytes>([&](std::size_t r) { return compressor.compress(fields[r]).data; });
+  const std::vector<NdArray<double>> restored = ranks.map<NdArray<double>>(
+      [&](std::size_t r) { return WaveletCompressor::decompress(streams[r]); });
+  for (std::size_t r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(streams[r], compressor.compress(fields[r]).data) << "rank " << r;
+    const NdArray<double> reference = WaveletCompressor::decompress(streams[r]);
+    ASSERT_EQ(restored[r].shape(), fields[r].shape());
+    EXPECT_TRUE(std::equal(restored[r].values().begin(), restored[r].values().end(),
+                           reference.values().begin()))
+        << "rank " << r;
+  }
 }
 
 TEST(QuantizeFusion, PrecomputedRangeIsBitIdentical) {

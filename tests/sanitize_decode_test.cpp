@@ -10,24 +10,32 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/codec.hpp"
+#include "ckpt/incremental.hpp"
 #include "core/compressor.hpp"
 #include "core/synthetic.hpp"
+#include "core/truncation.hpp"
 #include "deflate/deflate.hpp"
 #include "deflate/deflate_tables.hpp"
 #include "deflate/huffman.hpp"
 #include "deflate/parallel.hpp"
 #include "encode/payload.hpp"
+#include "fpc/fpc.hpp"
+#include "net/frame.hpp"
+#include "net/protocol.hpp"
+#include "szlike/lorenzo.hpp"
 #include "util/bitio.hpp"
 #include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/mutate.hpp"
 #include "util/rng.hpp"
+#include "zfplike/block_codec.hpp"
 
 namespace wck {
 namespace {
@@ -455,6 +463,253 @@ TEST(SanitizeDecode, CheckpointRestoreIsAtomicUnderCorruption) {
     }
   }
 }
+
+// ------------------------------------------------ hostile shape headers
+
+constexpr std::uint64_t kTwo32 = std::uint64_t{1} << 32;  // 2^32 x 2^32 wraps size_t to 0
+constexpr std::uint64_t kTwo33 = std::uint64_t{1} << 33;
+constexpr std::uint64_t kTwo40 = std::uint64_t{1} << 40;  // 8 TiB of doubles
+
+/// u8 rank + varint extents, the shape header every raw stream uses.
+void put_shape(ByteWriter& w, std::initializer_list<std::uint64_t> extents) {
+  w.u8(static_cast<std::uint8_t>(extents.size()));
+  for (const std::uint64_t e : extents) w.varint(e);
+}
+
+Bytes raw_stream(std::initializer_list<std::uint64_t> extents, std::size_t value_bytes = 0) {
+  ByteWriter w;
+  put_shape(w, extents);
+  for (std::size_t i = 0; i < value_bytes; ++i) w.u8(0);
+  return w.take();
+}
+
+/// An empty tag-0 wavelet stream (no averages, bands or indexes) whose
+/// payload declares `extent` x `extent`, CRC included.
+Bytes tag0_wavelet_stream(std::uint64_t extent) {
+  ByteWriter w;
+  w.u32(0x4C4B4357);  // payload magic "WCKL"
+  w.u8(3);            // byte-plane layout
+  w.u8(static_cast<std::uint8_t>(QuantizerKind::kSpike));
+  w.u8(static_cast<std::uint8_t>(WaveletKind::kHaar));
+  w.u8(2);  // rank
+  w.u8(1);  // levels
+  w.varint(extent);
+  w.varint(extent);
+  for (int i = 0; i < 4; ++i) w.varint(0);  // n_avg, n_low, n_high, n_idx
+  Bytes payload = w.take();
+  const std::uint32_t crc = crc32(std::span<const std::byte>(payload));
+  ByteWriter tail(payload);
+  tail.u32(crc);
+  payload.insert(payload.begin(), std::byte{0});  // entropy tag 0: stored
+  return payload;
+}
+
+/// A zfplike stream declaring `extents` followed by `zero_blocks`
+/// all-zero blocks (kind 0).
+Bytes zfplike_stream(std::initializer_list<std::uint64_t> extents, std::size_t zero_blocks) {
+  ByteWriter w;
+  w.u32(0x465A4B57);  // "WKZF"
+  w.u8(1);
+  put_shape(w, extents);
+  w.u8(16);  // precision
+  for (std::size_t b = 0; b < zero_blocks; ++b) w.u8(0);
+  return zlib_compress(w.buffer(), {});
+}
+
+Bytes szlike_stream(std::initializer_list<std::uint64_t> extents, std::uint64_t n_exact,
+                    std::size_t code_bytes) {
+  ByteWriter w;
+  w.u32(0x5A4C4B57);  // "WKLZ"
+  w.u8(1);
+  put_shape(w, extents);
+  w.f64(0.5);  // error bound
+  w.varint(n_exact);
+  for (std::size_t i = 0; i < code_bytes; ++i) w.u8(0);
+  return zlib_compress(w.buffer(), {});
+}
+
+Bytes truncation_stream(const Bytes& raw) {
+  ByteWriter w;
+  w.u32(0x54524B57);  // "WKRT"
+  w.u8(20);           // kept mantissa bits
+  const Bytes body = zlib_compress(raw, {});
+  w.raw(body.data(), body.size());
+  return w.take();
+}
+
+Bytes image_stream(std::initializer_list<std::uint64_t> extents, std::size_t value_bytes) {
+  ByteWriter w;
+  w.varint(1);  // one field
+  w.str("state");
+  for (const std::byte b : raw_stream(extents, value_bytes)) w.u8(static_cast<std::uint8_t>(b));
+  return w.take();
+}
+
+net::Frame put_frame(std::initializer_list<std::uint64_t> extents) {
+  ByteWriter w;
+  w.str("tenant");
+  w.u64(1);  // step
+  w.u64(0);  // request id
+  put_shape(w, extents);
+  w.varint(0);  // value count
+  return net::Frame{static_cast<std::uint8_t>(net::MessageType::kPut), w.take()};
+}
+
+net::Frame get_ok_frame(std::initializer_list<std::uint64_t> extents) {
+  ByteWriter w;
+  w.u64(1);  // step
+  w.u8(0);   // source
+  put_shape(w, extents);
+  w.varint(0);  // value count
+  return net::Frame{static_cast<std::uint8_t>(net::MessageType::kGetOk), w.take()};
+}
+
+/// A one-field checkpoint with a valid CRC whose field names `codec`.
+Bytes checkpoint_stream(const std::string& codec, const Bytes& payload) {
+  ByteWriter w;
+  w.u32(0x504B4357);  // "WCKP"
+  w.u8(1);
+  w.varint(3);  // step
+  w.varint(1);  // fields
+  w.str("state");
+  w.str(codec);
+  w.varint(payload.size());
+  w.raw(payload.data(), payload.size());
+  w.u32(crc32(std::span<const std::byte>(payload)));
+  return w.take();
+}
+
+/// The arrays a hostile image or checkpoint restores into. A rejected
+/// restore leaves both as they were.
+struct RestoreTargets {
+  NdArray<double> empty;  // size 0: accepts any shape
+  NdArray<double> live;
+  CheckpointRegistry empty_registry;
+  CheckpointRegistry live_registry;
+
+  RestoreTargets() : live(Shape{4, 4}, 1.0) {
+    empty_registry.add("state", &empty);
+    live_registry.add("state", &live);
+  }
+  RestoreTargets(const RestoreTargets&) = delete;
+  RestoreTargets& operator=(const RestoreTargets&) = delete;
+};
+
+struct HostileShapeCase {
+  const char* name;  // names the ctest case
+  const char* what;
+  void (*decode)(RestoreTargets&);
+};
+
+// gtest_discover_tests names each case <suite>/<test>/<printed param>.
+void PrintTo(const HostileShapeCase& c, std::ostream* os) { *os << c.name; }
+
+const HostileShapeCase kHostileShapes[] = {
+    {"NullWrapsToZeroValues", "null: 2^32 x 2^32 wraps to 0 values",
+     [](RestoreTargets&) { (void)NullCodec{}.decode(raw_stream({kTwo32, kTwo32})); }},
+    {"NullValuesPastEnd", "null: 2^40 values declared, 2 bytes present",
+     [](RestoreTargets&) { (void)NullCodec{}.decode(raw_stream({kTwo40}, 2)); }},
+    {"NullRank0", "null: rank 0",
+     [](RestoreTargets&) { (void)NullCodec{}.decode(raw_stream({})); }},
+    {"NullRank5", "null: rank 5",
+     [](RestoreTargets&) { (void)NullCodec{}.decode(raw_stream({1, 1, 1, 1, 1}, 8)); }},
+    {"NullZeroExtent", "null: zero extent",
+     [](RestoreTargets&) { (void)NullCodec{}.decode(raw_stream({4, 0})); }},
+    {"NullByteSizeOverflows", "null: 2^61 x 4 overflows the byte size",
+     [](RestoreTargets&) { (void)NullCodec{}.decode(raw_stream({std::uint64_t{1} << 61, 4})); }},
+    {"GzipWraps", "gzip: 2^32 x 2^32",
+     [](RestoreTargets&) {
+       (void)GzipCodec{}.decode(gzip_compress(raw_stream({kTwo32, kTwo32}), {}));
+     }},
+    {"FpcWrapsOverEmptyBody", "fpc: 2^32 x 2^32 over an empty body",
+     [](RestoreTargets&) {
+       Bytes s = raw_stream({kTwo32, kTwo32});
+       const Bytes body = fpc_compress(std::vector<double>{});
+       s.insert(s.end(), body.begin(), body.end());
+       (void)FpcCodec{}.decode(s);
+     }},
+    {"FpcValueCountMismatch", "fpc: 3 values declared, 2 coded",
+     [](RestoreTargets&) {
+       Bytes s = raw_stream({3});
+       const Bytes body = fpc_compress(std::vector<double>{1.0, 2.0});
+       s.insert(s.end(), body.begin(), body.end());
+       (void)FpcCodec{}.decode(s);
+     }},
+    {"WaveletTag0DecompressWraps", "wavelet tag 0: 2^33 x 2^33 decompress",
+     [](RestoreTargets&) { (void)WaveletCompressor::decompress(tag0_wavelet_stream(kTwo33)); }},
+    {"WaveletTag0InspectWraps", "wavelet tag 0: 2^33 x 2^33 inspect",
+     [](RestoreTargets&) { (void)WaveletCompressor::inspect(tag0_wavelet_stream(kTwo33)); }},
+    {"WaveletCodecWraps", "wavelet codec: 2^32 x 2^32",
+     [](RestoreTargets&) { (void)WaveletLossyCodec{}.decode(tag0_wavelet_stream(kTwo32)); }},
+    {"ZfpLikeCodecWraps", "zfplike: 2^33 x 2^33, one zero block",
+     [](RestoreTargets&) {
+       (void)ZfpLikeCodec{}.decode(zfplike_stream({kTwo33, kTwo33}, 1));
+     }},
+    {"ZfpLikeBlocksPastEnd", "zfplike: 2^20 x 2^20, one zero block",
+     [](RestoreTargets&) { (void)zfplike_decompress(zfplike_stream({1u << 20, 1u << 20}, 1)); }},
+    {"SzLikeCodecWraps", "szlike: 2^32 x 2^32",
+     [](RestoreTargets&) {
+       (void)SzLikeCodec{}.decode(szlike_stream({kTwo32, kTwo32}, 0, 0));
+     }},
+    {"SzLikeExactCountPastEnd", "szlike: 2^62 exact values declared",
+     [](RestoreTargets&) {
+       (void)szlike_decompress(szlike_stream({1}, std::uint64_t{1} << 62, 1));
+     }},
+    {"TruncationCodecWraps", "truncation: 2^32 x 2^32",
+     [](RestoreTargets&) {
+       (void)TruncationCodec{}.decode(truncation_stream(raw_stream({kTwo32, kTwo32})));
+     }},
+    {"TruncationValuesPastEnd", "truncation: 2^40 values declared, 8 bytes present",
+     [](RestoreTargets&) {
+       (void)truncation_decompress(truncation_stream(raw_stream({kTwo40}, 8)));
+     }},
+    {"ImageWraps", "image: 2^32 x 2^32",
+     [](RestoreTargets& t) {
+       scatter_image(image_stream({kTwo32, kTwo32}, 0), t.empty_registry);
+     }},
+    {"ImageValuesPastEnd", "image: 2^40 values declared, 8 bytes present",
+     [](RestoreTargets& t) { scatter_image(image_stream({kTwo40}, 8), t.empty_registry); }},
+    {"NetPutWraps", "net put: 2^32 x 2^32",
+     [](RestoreTargets&) { (void)net::decode_message(put_frame({kTwo32, kTwo32})); }},
+    {"NetGetOkWraps", "net get-ok: 2^32 x 2^32",
+     [](RestoreTargets&) { (void)net::decode_message(get_ok_frame({kTwo32, kTwo32})); }},
+    {"CheckpointZfpLikeFieldWraps", "checkpoint: zfplike field 2^33 x 2^33",
+     [](RestoreTargets& t) {
+       (void)restore_checkpoint(
+           checkpoint_stream("zfplike", zfplike_stream({kTwo33, kTwo33}, 1)), t.live_registry);
+     }},
+    {"CheckpointNullFieldWraps", "checkpoint: null field 2^32 x 2^32 into an empty array",
+     [](RestoreTargets& t) {
+       (void)restore_checkpoint(checkpoint_stream("null", raw_stream({kTwo32, kTwo32})),
+                                t.empty_registry);
+     }},
+};
+
+class HostileShapeHeader : public ::testing::TestWithParam<HostileShapeCase> {};
+
+TEST_P(HostileShapeHeader, IsFormatError) {
+  // Every decoder reads rank + extents through read_shape/read_extents,
+  // so a header whose element count wraps size_t, or whose values
+  // cannot fit in the bytes left, is a FormatError before anything is
+  // allocated or written — never a wrapped shape, a bad_alloc or a
+  // write through an empty array. Each input is its own case, so a
+  // decoder that crashes on its input (the zfplike one segfaulted before
+  // the shape check) fails under its own name and hides no other result.
+  const HostileShapeCase& c = GetParam();
+  RestoreTargets targets;
+  try {
+    c.decode(targets);
+    ADD_FAILURE() << c.what << ": decoded without an error";
+  } catch (const FormatError&) {
+    // expected
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << c.what << ": not a FormatError: " << e.what();
+  }
+  EXPECT_EQ(targets.empty.size(), 0u);
+  EXPECT_EQ(targets.live[0], 1.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(SanitizeDecode, HostileShapeHeader, ::testing::ValuesIn(kHostileShapes));
 
 }  // namespace
 }  // namespace wck

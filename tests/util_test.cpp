@@ -1,8 +1,11 @@
 // Unit tests for the util subsystem: checksums, byte/bit I/O, RNG.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <random>
+#include <vector>
 
 #include "util/backoff.hpp"
 #include "util/bitio.hpp"
@@ -30,11 +33,49 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   const char* msg = "The quick brown fox jumps over the lazy dog";
   const auto all = bytes_of(msg);
   Crc32 inc;
-  // Split at awkward boundaries to exercise the slice-by-4 remainder.
+  // Split at awkward boundaries to exercise the slice-by-8 remainder.
   inc.update(all.subspan(0, 1));
   inc.update(all.subspan(1, 6));
   inc.update(all.subspan(7));
   EXPECT_EQ(inc.value(), crc32(all));
+}
+
+/// Bit-at-a-time CRC-32 (reflected 0xEDB88320): the definition the
+/// table-driven Crc32 must reproduce.
+std::uint32_t crc32_bitwise(std::span<const std::byte> data) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::byte b : data) {
+    c ^= static_cast<std::uint8_t>(b);
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32, MatchesBitwiseReference) {
+  Xoshiro256 rng(777);
+  const auto random_bytes = [&rng](std::size_t n) {
+    Bytes buf(n);
+    for (std::byte& b : buf) b = static_cast<std::byte>(rng() & 0xFF);
+    return buf;
+  };
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  lengths.push_back(1000);
+  lengths.push_back(65537);
+  for (const std::size_t n : lengths) {
+    const Bytes buf = random_bytes(n);
+    const std::span<const std::byte> all(buf);
+    const std::uint32_t want = crc32_bitwise(all);
+    EXPECT_EQ(crc32(all), want) << "n=" << n;
+    if (n > 64) continue;
+    // An update split at any cut continues the same register.
+    for (std::size_t cut = 0; cut <= n; ++cut) {
+      Crc32 inc;
+      inc.update(all.subspan(0, cut));
+      inc.update(all.subspan(cut));
+      EXPECT_EQ(inc.value(), want) << "n=" << n << " cut=" << cut;
+    }
+  }
 }
 
 TEST(Crc32, ResetRestartsState) {
@@ -96,14 +137,62 @@ TEST(ByteWriterReader, VarintRoundTrip) {
 }
 
 TEST(ByteWriterReader, F64ArrayRoundTrip) {
-  std::vector<double> vals = {1.0, -2.5, 1e300, -1e-300, 0.0};
+  // Bit patterns, not values: NaN payloads and the sign of zero must
+  // survive, and each double is stored little-endian.
+  const std::vector<std::uint64_t> bits = {
+      std::bit_cast<std::uint64_t>(1.0),
+      std::bit_cast<std::uint64_t>(-2.5),
+      std::bit_cast<std::uint64_t>(1e300),
+      std::bit_cast<std::uint64_t>(-1e-300),
+      std::bit_cast<std::uint64_t>(0.0),
+      std::bit_cast<std::uint64_t>(-0.0),
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::infinity()),
+      std::bit_cast<std::uint64_t>(-std::numeric_limits<double>::infinity()),
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::denorm_min()),
+      0x800FFFFFFFFFFFFFull,  // largest negative denormal
+      0x7FF8000000000000ull,  // quiet NaN
+      0x7FF0000000000001ull,  // signaling NaN, payload 1
+      0xFFF8DEADBEEF0001ull,  // negative quiet NaN with a payload
+  };
+  std::vector<double> vals;
+  for (const std::uint64_t b : bits) vals.push_back(std::bit_cast<double>(b));
+
   ByteWriter w;
+  w.u8(0xAB);  // unaligned start
   w.f64_array(vals);
+  w.f64_array(std::span<const double>());  // empty span writes nothing
   const Bytes buf = w.take();
+  ASSERT_EQ(buf.size(), 1 + 8 * vals.size());
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    for (std::size_t k = 0; k < 8; ++k) {
+      ASSERT_EQ(static_cast<std::uint8_t>(buf[1 + 8 * i + k]), (bits[i] >> (8 * k)) & 0xFFu)
+          << "value " << i << " byte " << k;
+    }
+  }
+
   ByteReader r(buf);
+  EXPECT_EQ(r.u8(), 0xAB);
   std::vector<double> back(vals.size());
   r.f64_array(back);
-  EXPECT_EQ(back, vals);
+  for (std::size_t i = 0; i < bits.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]), bits[i]) << "value " << i;
+  }
+  r.f64_array(std::span<double>());  // empty span reads nothing
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_THROW(r.f64_array(back), FormatError);
+}
+
+TEST(ByteReader, F64VectorChecksCountBeforeAllocating) {
+  ByteWriter w;
+  w.f64_array(std::vector<double>{1.5, -3.25});
+  const Bytes buf = w.take();
+  ByteReader r(buf);
+  EXPECT_THROW((void)r.f64_vector(3), FormatError);
+  EXPECT_THROW((void)r.f64_vector(std::uint64_t{1} << 61), FormatError);
+  EXPECT_THROW((void)r.f64_vector(~std::uint64_t{0}), FormatError);
+  EXPECT_EQ(r.position(), 0u);
+  EXPECT_EQ(r.f64_vector(2), (std::vector<double>{1.5, -3.25}));
+  EXPECT_TRUE(r.f64_vector(0).empty());
 }
 
 TEST(ByteReader, TruncationThrowsFormatError) {

@@ -28,7 +28,9 @@ Exceptions — baseline-less records that are self-baselining:
     (bench/micro_kernels): on vector-capable hardware (best level is
     not "scalar") at least --simd-min-kernels of the speedup_<kernel>
     params must reach --simd-speedup (default: 2 kernels at >= 1.5x
-    over the scalar reference). On scalar-only hardware the record
+    over the scalar reference). Each speedup is the dispatched level's
+    (detected_best) over scalar, so it reads below 1.0x when the vector
+    variant loses. On scalar-only hardware the record
     passes vacuously — there is no vector level to gate.
 
 Usage:
@@ -207,7 +209,7 @@ def main(argv):
     parser.add_argument("--sharded-tol", type=float, default=0.02,
                         help="max sharded-vs-serial compressed-size drift (default 0.02)")
     parser.add_argument("--simd-speedup", type=float, default=1.5,
-                        help="required best-level speedup over scalar (default 1.5)")
+                        help="required dispatched-level speedup over scalar (default 1.5)")
     parser.add_argument("--simd-min-kernels", type=int, default=2,
                         help="kernels that must reach --simd-speedup (default 2)")
     parser.add_argument("fresh", nargs="+", help="freshly produced BENCH_*.json files")

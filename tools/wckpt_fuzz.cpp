@@ -4,7 +4,7 @@
 // WaveletCompressor streams (one- and multi-segment), a multi-field
 // checkpoint, raw DEFLATE with the gzip/zlib/WCKP containers, the
 // decode-only layouts (payload v2, WCKP v1, entropy tags 1 and 2), FPC
-// and chunked streams — then applies seeded random
+// and truncation streams — then applies seeded random
 // mutations (bit flips, truncations, length-field corruption; see
 // util/mutate.hpp) and feeds each mutant to its decoder. The contract:
 // every decoder either throws a typed wck::Error or returns a valid
@@ -26,7 +26,6 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/codec.hpp"
-#include "core/chunked.hpp"
 #include "core/compressor.hpp"
 #include "core/synthetic.hpp"
 #include "core/truncation.hpp"
@@ -190,11 +189,6 @@ std::vector<CorpusEntry> build_corpus() {
                     [](const Bytes& b) { (void)fpc_decompress(b); }});
   corpus.push_back({"truncation", truncation_compress(field, 20),
                     [](const Bytes& b) { (void)truncation_decompress(b); }});
-  {
-    ChunkedParams cp;
-    corpus.push_back({"chunked", chunked_compress(field, cp).data,
-                      [](const Bytes& b) { (void)chunked_decompress(b); }});
-  }
 
   // Store-service wire frames: mutants hit the frame header (magic,
   // version, length, CRC) and the message body decoders. The one-shot
