@@ -6,10 +6,19 @@
 // CRC-protected file (or byte buffer); read_checkpoint() restores the
 // arrays in place. This is the application-facing layer the paper's
 // "application-level checkpoint/restart" refers to.
+//
+// Layout, version 2 (all integers little-endian, counts as varints):
+//   u32 magic "WCKP", u8 version 2, step, field count,
+//   per field: name, codec id, payload size, payload bytes,
+//   u32 CRC-32 of every byte before it.
+// Version 1 (decode-only) has no trailer; each payload is instead
+// followed by its own CRC-32, and nothing covers the header, the names
+// or the codec ids.
 #pragma once
 
 #include <cstdint>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -65,9 +74,18 @@ struct CheckpointInfo {
 
 /// Restores registered arrays from a serialized checkpoint. Every field
 /// in the buffer must be registered (unknown fields throw FormatError);
-/// registered fields missing from the buffer are left untouched.
-[[nodiscard]] CheckpointInfo restore_checkpoint(std::span<const std::byte> data,
-                                                const CheckpointRegistry& registry);
+/// registered fields missing from the buffer are left untouched. With
+/// `expected_step`, a checkpoint whose header records another step is a
+/// CorruptDataError. Every check runs before any array is modified.
+[[nodiscard]] CheckpointInfo restore_checkpoint(
+    std::span<const std::byte> data, const CheckpointRegistry& registry,
+    std::optional<std::uint64_t> expected_step = std::nullopt);
+
+/// Checks a serialized checkpoint without decoding any field: magic,
+/// version, the checksums (the v2 trailer, or every v1 field CRC) and
+/// the header step against `step`. Throws FormatError or
+/// CorruptDataError on the first failure.
+void verify_checkpoint(std::span<const std::byte> data, std::uint64_t step);
 
 class IoBackend;
 

@@ -2,27 +2,25 @@
 
 #include <algorithm>
 #include <charconv>
-#include <cstdio>
-#include <cstdlib>
 #include <string_view>
-#include <thread>
 
 #include "telemetry/telemetry.hpp"
-#include "util/checksum.hpp"
 #include "util/error.hpp"
 
 namespace wck {
 namespace {
 
-constexpr const char* kManifestName = "MANIFEST";
-constexpr const char* kManifestHeader = "wck-manifest v1";
-constexpr std::uint32_t kCheckpointMagic = 0x504B4357;  // mirrors checkpoint.cpp
-
 std::string generation_file_name(std::uint64_t step) {
   return "ckpt." + std::to_string(step) + ".wck";
 }
 
-/// Parses "ckpt.<step>.wck"; nullopt for anything else.
+void sort_newest_first(std::vector<CheckpointManager::Generation>& generations) {
+  std::sort(generations.begin(), generations.end(),
+            [](const auto& a, const auto& b) { return a.step > b.step; });
+}
+
+}  // namespace
+
 std::optional<std::uint64_t> step_from_file_name(const std::string& name) {
   constexpr std::string_view prefix = "ckpt.";
   constexpr std::string_view suffix = ".wck";
@@ -38,8 +36,6 @@ std::optional<std::uint64_t> step_from_file_name(const std::string& name) {
   if (ec != std::errc{} || ptr != digits.end()) return std::nullopt;
   return step;
 }
-
-}  // namespace
 
 const char* restore_source_name(RestoreSource source) noexcept {
   switch (source) {
@@ -61,116 +57,47 @@ CheckpointManager::CheckpointManager(std::filesystem::path dir, const Codec& cod
   }
   std::filesystem::create_directories(dir_);
   MutexLock lk(mu_);
-  load_manifest();
-  sweep_stale_tmp_files();
+  scan_directory();
+  rotate();
+  WCK_GAUGE_SET("ckpt.generations", static_cast<double>(generations_.size()));
 }
 
-void CheckpointManager::sweep_stale_tmp_files() {
-  // atomic_write_durable stages every commit as `<target>.tmp.<pid>.<seq>`
-  // and removes the staging file on both success and failure — so any
-  // `*.tmp.*` file found at open time is debris from a process that
-  // died mid-commit. None of them are referenced by the manifest;
-  // removing them reclaims space and keeps crash-kill soaks from
-  // accreting garbage across restarts.
+void CheckpointManager::scan_directory() {
+  // Each generation file is its own record, so the directory is the
+  // whole index: every `ckpt.<step>.wck` is a generation, charged the
+  // size of its directory entry. atomic_write_durable stages every
+  // commit as `<target>.tmp.<pid>.<seq>` and removes the staging file on
+  // both success and failure, so a `*.tmp.*` file found here is debris
+  // from a process that died mid-commit. Sweeping it reclaims space and
+  // keeps crash-kill soaks from accreting garbage across restarts. The
+  // MANIFEST index the previous release kept here goes the same way.
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.find(".tmp.") == std::string::npos) continue;
+    if (const auto step = step_from_file_name(name)) {
+      std::error_code size_ec;
+      const std::uintmax_t size = entry.file_size(size_ec);
+      if (!size_ec) generations_.push_back(Generation{*step, size, name});
+      continue;
+    }
+    const bool tmp = name.find(".tmp.") != std::string::npos;
+    if (!tmp && name != "MANIFEST") continue;
     try {
-      if (io().remove_file(entry.path())) {
+      if (io().remove_file(entry.path()) && tmp) {
         ++tmp_swept_;
         WCK_EVENT(kTmpSwept, 0, name);
       }
     } catch (const IoError&) {
-      // Best effort: an unremovable stale temp is annoying, not fatal.
+      // Best effort: an unremovable stale file is annoying, not fatal.
       WCK_COUNTER_ADD("ckpt.tmp.sweep_failures", 1);
     }
   }
   if (tmp_swept_ > 0) WCK_COUNTER_ADD("ckpt.tmp.swept", tmp_swept_);
+  sort_newest_first(generations_);
 }
 
 IoBackend& CheckpointManager::io() const noexcept {
   return io_ != nullptr ? *io_ : default_io_backend();
-}
-
-void CheckpointManager::load_manifest() {
-  generations_.clear();
-  const std::filesystem::path manifest = dir_ / kManifestName;
-  bool manifest_ok = false;
-  if (io().exists(manifest)) {
-    try {
-      const Bytes raw = io().read_file(manifest);
-      const std::string text(reinterpret_cast<const char*>(raw.data()), raw.size());
-      std::size_t pos = 0;
-      std::size_t line_no = 0;
-      manifest_ok = true;
-      while (pos < text.size()) {
-        const std::size_t nl = text.find('\n', pos);
-        const std::string line =
-            text.substr(pos, nl == std::string::npos ? nl : nl - pos);
-        pos = nl == std::string::npos ? text.size() : nl + 1;
-        if (line.empty()) continue;
-        if (line_no++ == 0) {
-          if (line != kManifestHeader) {
-            manifest_ok = false;
-            break;
-          }
-          continue;
-        }
-        unsigned long long step = 0;
-        unsigned long long size = 0;
-        char crc_hex[16] = {0};
-        char file[256] = {0};
-        if (std::sscanf(line.c_str(), "%llu %15s %llu %255s", &step, crc_hex, &size,
-                        file) != 4) {
-          manifest_ok = false;
-          break;
-        }
-        Generation gen;
-        gen.step = step;
-        gen.size = size;
-        gen.crc = static_cast<std::uint32_t>(std::strtoul(crc_hex, nullptr, 16));
-        gen.file = file;
-        generations_.push_back(std::move(gen));
-      }
-      if (!manifest_ok) generations_.clear();
-    } catch (const IoError&) {
-      manifest_ok = false;
-    }
-  }
-
-  if (!manifest_ok) {
-    // No (readable) manifest: recover what we can by scanning for
-    // generation files. size==0 marks "no manifest metadata" — restore
-    // then relies solely on the per-field CRCs inside the file.
-    WCK_COUNTER_ADD("ckpt.manifest.rebuilds", 1);
-    std::error_code ec;
-    for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {
-      const auto step = step_from_file_name(entry.path().filename().string());
-      if (!step.has_value()) continue;
-      Generation gen;
-      gen.step = *step;
-      gen.file = entry.path().filename().string();
-      generations_.push_back(std::move(gen));
-    }
-    std::sort(generations_.begin(), generations_.end(),
-              [](const Generation& a, const Generation& b) { return a.step > b.step; });
-  }
-  WCK_GAUGE_SET("ckpt.generations", static_cast<double>(generations_.size()));
-}
-
-void CheckpointManager::commit_manifest() {
-  std::string text = std::string(kManifestHeader) + "\n";
-  char line[384];
-  for (const Generation& gen : generations_) {
-    std::snprintf(line, sizeof(line), "%llu %08x %llu %s\n",
-                  static_cast<unsigned long long>(gen.step), gen.crc,
-                  static_cast<unsigned long long>(gen.size), gen.file.c_str());
-    text += line;
-  }
-  commit_with_retry(dir_ / kManifestName,
-                    Bytes(reinterpret_cast<const std::byte*>(text.data()),
-                          reinterpret_cast<const std::byte*>(text.data()) + text.size()));
 }
 
 void CheckpointManager::commit_with_retry(const std::filesystem::path& path,
@@ -204,7 +131,8 @@ CheckpointInfo CheckpointManager::write(const CheckpointRegistry& registry,
   CheckpointInfo info;
   const Bytes data = serialize_checkpoint(registry, codec_, step, &info);
 
-  // Monitor section: generation list + manifest mutate together.
+  // Monitor section: the generation list and the files it names change
+  // together.
   MutexLock lk(mu_);
   if (options_.max_total_bytes != 0) {
     // Rotation-aware admission: charge only the generations that would
@@ -240,20 +168,14 @@ CheckpointInfo CheckpointManager::write(const CheckpointRegistry& registry,
           std::to_string(options_.max_total_bytes) + " (" + dir_.string() + ")");
     }
   }
-  Generation gen;
-  gen.step = step;
-  gen.crc = crc32(std::span<const std::byte>(data));
-  gen.size = data.size();
-  gen.file = generation_file_name(step);
+  Generation gen{step, data.size(), generation_file_name(step)};
   commit_with_retry(dir_ / gen.file, data);
 
   // Same-step rewrite replaces the old entry instead of duplicating it.
   std::erase_if(generations_, [&](const Generation& g) { return g.step == step; });
-  generations_.insert(generations_.begin(), std::move(gen));
-  std::sort(generations_.begin(), generations_.end(),
-            [](const Generation& a, const Generation& b) { return a.step > b.step; });
+  generations_.push_back(std::move(gen));
+  sort_newest_first(generations_);
   rotate();
-  commit_manifest();
   WCK_GAUGE_SET("ckpt.generations", static_cast<double>(generations_.size()));
   WCK_EVENT(kCkptCommit, step,
             generation_file_name(step) + " " + std::to_string(info.stored_bytes) +
@@ -274,7 +196,8 @@ void CheckpointManager::rotate() {
       WCK_EVENT(kCkptRotate, old.step, old.file);
     } catch (const IoError&) {
       // A failed delete must not fail the checkpoint that just
-      // committed; the orphan is picked up by a later rotation/scrub.
+      // committed. The orphan is still a `ckpt.<step>.wck` file, so the
+      // next open lists it again and rotates it out.
       WCK_COUNTER_ADD("ckpt.rotate.remove_failures", 1);
     }
   }
@@ -289,15 +212,10 @@ std::optional<CheckpointInfo> CheckpointManager::try_restore_generation(
     WCK_COUNTER_ADD("ckpt.restore.read_failures", 1);
     return std::nullopt;
   }
-  // Whole-file manifest check first: cheaper than decoding, and catches
-  // truncation/corruption even in fields the registry doesn't cover.
-  if (gen.size != 0 &&
-      (data.size() != gen.size || crc32(std::span<const std::byte>(data)) != gen.crc)) {
-    WCK_COUNTER_ADD("ckpt.restore.manifest_mismatches", 1);
-    return std::nullopt;
-  }
   try {
-    return restore_checkpoint(data, registry);
+    // The step check rejects a generation whose header disagrees with
+    // its file name before any array is touched.
+    return restore_checkpoint(data, registry, gen.step);
   } catch (const Error&) {
     // Transactional: the registry was not touched (aborts counted by
     // restore_checkpoint itself).
@@ -356,21 +274,10 @@ ScrubReport CheckpointManager::scrub() {
   kept.reserve(generations_.size());
   for (const Generation& gen : generations_) {
     ++report.checked;
-    bool ok = false;
+    bool ok = true;
     try {
-      const Bytes data = io().read_file(dir_ / gen.file);
-      const bool manifest_ok =
-          gen.size == 0 ||
-          (data.size() == gen.size && crc32(std::span<const std::byte>(data)) == gen.crc);
-      // Even without manifest metadata a generation must at least open
-      // with the checkpoint magic.
-      const bool magic_ok =
-          data.size() >= 4 && (static_cast<std::uint32_t>(data[0]) |
-                               (static_cast<std::uint32_t>(data[1]) << 8) |
-                               (static_cast<std::uint32_t>(data[2]) << 16) |
-                               (static_cast<std::uint32_t>(data[3]) << 24)) == kCheckpointMagic;
-      ok = manifest_ok && magic_ok;
-    } catch (const IoError&) {
+      verify_checkpoint(io().read_file(dir_ / gen.file), gen.step);
+    } catch (const Error&) {
       ok = false;
     }
     if (ok) {
@@ -387,15 +294,16 @@ ScrubReport CheckpointManager::scrub() {
       io().rename_file(from, to);
       report.quarantined.push_back(to);
     } catch (const IoError&) {
-      // Quarantine is best effort: dropping the entry from the manifest
-      // already removes it from the restore chain.
+      // A generation that cannot be set aside stays listed: it is still
+      // on disk under its committed name, so the next open would list it
+      // anyway, and restore skips it while it fails its checks.
       WCK_COUNTER_ADD("ckpt.scrub.quarantine_failures", 1);
+      kept.push_back(gen);
     }
   }
   WCK_COUNTER_ADD("ckpt.scrub.checked", report.checked);
   if (report.corrupt > 0) {
     generations_ = std::move(kept);
-    commit_manifest();
     WCK_GAUGE_SET("ckpt.generations", static_cast<double>(generations_.size()));
   }
   return report;

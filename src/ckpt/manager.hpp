@@ -3,7 +3,7 @@
 // A checkpoint exists to survive failures, so the write path must
 // tolerate transient I/O errors (retry with capped exponential
 // backoff), the store must survive a corrupt file (keep-K generation
-// rotation behind a CRC manifest), and restore must degrade loudly and
+// rotation of self-checking files), and restore must degrade loudly and
 // gracefully instead of failing or — worse — silently restoring wrong
 // state: newest generation first, CRC-verified, falling back through
 // older generations and finally to XOR-parity reconstruction
@@ -11,12 +11,15 @@
 // proactively verifies every generation and quarantines corrupt ones.
 //
 // Layout in the managed directory:
-//   ckpt.<step>.wck      one generation per committed step
-//   MANIFEST             "wck-manifest v1" + one "<step> <crc32-hex>
-//                        <size> <file>" line per generation, newest
-//                        first; committed atomically+durably after
-//                        every mutation
+//   ckpt.<step>.wck      one generation per committed step, committed
+//                        atomically+durably; the checkpoint format's
+//                        CRC-32 trailer and header step make each file
+//                        its own record (src/ckpt/checkpoint.hpp)
 //   *.quarantined.<n>    corrupt generations set aside by scrub()
+//
+// The directory is the only index: the constructor lists the
+// `ckpt.<step>.wck` files with their sizes, newest first, and the
+// manager keeps that list in memory from then on.
 //
 // Telemetry: ckpt.write.retries / ckpt.write.giveups,
 // ckpt.restore.fallbacks / ckpt.restore.parity_reconstructions,
@@ -57,6 +60,10 @@ enum class RestoreSource : std::uint8_t {
 
 [[nodiscard]] const char* restore_source_name(RestoreSource source) noexcept;
 
+/// The step of a generation file name `ckpt.<step>.wck`; nullopt for any
+/// other name (temp files, quarantined generations, foreign files).
+[[nodiscard]] std::optional<std::uint64_t> step_from_file_name(const std::string& name);
+
 /// Result of CheckpointManager::restore — says which state the
 /// application is actually running from.
 struct RestoreOutcome {
@@ -76,11 +83,11 @@ struct ScrubReport {
 struct CheckpointManagerOptions {
   std::size_t keep_generations = 3;  ///< >= 1
   RetryPolicy retry;
-  /// Byte quota over the committed generations (manifest sizes). A
-  /// write() whose payload would push the post-rotation total past this
-  /// throws QuotaExceededError *before* touching the store; 0 disables.
-  /// Accounting follows the manifest, so rotation and scrub() quarantine
-  /// both return their bytes to the budget.
+  /// Byte quota over the committed generation files. A write() whose
+  /// file would push the post-rotation total past this throws
+  /// QuotaExceededError *before* touching the store; 0 disables.
+  /// Accounting follows the generation list, so rotation and scrub()
+  /// quarantine both return their bytes to the budget.
   std::uint64_t max_total_bytes = 0;
 };
 
@@ -88,9 +95,11 @@ class CheckpointManager {
  public:
   using Options = CheckpointManagerOptions;
 
-  /// Creates `dir` if needed and loads an existing MANIFEST (restart
-  /// support). The codec and backend must outlive the manager; a null
-  /// backend means the process default (default_io_backend()).
+  /// Creates `dir` if needed and adopts the generations already in it
+  /// (restart support): lists them, rotates any beyond keep_generations
+  /// out as the next write would, and sweeps commit debris. The codec
+  /// and backend must outlive the manager; a null backend means the
+  /// process default (default_io_backend()).
   CheckpointManager(std::filesystem::path dir, const Codec& codec, Options options = {},
                     IoBackend* io = nullptr);
 
@@ -98,28 +107,28 @@ class CheckpointManager {
   CheckpointManager& operator=(const CheckpointManager&) = delete;
 
   /// Serializes the registry and durably commits generation
-  /// `ckpt.<step>.wck`, retrying per the RetryPolicy; rotates out
-  /// generations beyond keep_generations and commits the manifest.
+  /// `ckpt.<step>.wck`, retrying per the RetryPolicy, then rotates out
+  /// generations beyond keep_generations.
   /// Throws IoError after the final attempt fails (counted as a
   /// giveup). Also mirrors the payload into the attached parity store,
   /// when there is one.
   ///
   /// The manager is a monitor: write/restore/scrub serialize on one
   /// internal mutex, so concurrent callers (e.g. an async flush racing
-  /// a foreground scrub) see consistent generations and manifest state.
+  /// a foreground scrub) see one consistent generation list.
   [[nodiscard]] CheckpointInfo write(const CheckpointRegistry& registry, std::uint64_t step)
       WCK_EXCLUDES(mu_);
 
-  /// Restores the newest restorable generation: read + manifest CRC
+  /// Restores the newest restorable generation: read + CRC and step
   /// check + transactional decode, falling back through older
   /// generations, then parity reconstruction. Throws CorruptDataError
   /// when nothing is restorable. The registry arrays are only modified
   /// by the generation that actually restores.
   [[nodiscard]] RestoreOutcome restore(const CheckpointRegistry& registry) WCK_EXCLUDES(mu_);
 
-  /// Verifies every generation against the manifest (size + CRC + file
-  /// magic); corrupt ones are renamed to `<file>.quarantined.<n>` and
-  /// dropped from the manifest.
+  /// Verifies every generation without decoding it (verify_checkpoint:
+  /// magic, version, CRCs, step); corrupt ones are renamed to
+  /// `<file>.quarantined.<n>` and dropped from the generation list.
   [[nodiscard]] ScrubReport scrub() WCK_EXCLUDES(mu_);
 
   /// Attaches a peer-memory parity store: write() mirrors every payload
@@ -129,32 +138,30 @@ class CheckpointManager {
   void attach_parity_store(InMemoryCheckpointStore* store, std::size_t rank)
       WCK_EXCLUDES(mu_);
 
-  /// One committed generation (manifest order: newest first).
+  /// One committed generation.
   struct Generation {
     std::uint64_t step = 0;
-    std::uint32_t crc = 0;
-    std::uint64_t size = 0;
-    std::string file;  ///< name relative to dir()
+    std::uint64_t size = 0;  ///< file size in bytes
+    std::string file;        ///< name relative to dir()
   };
   /// Copy of the committed generations (newest first). Returned by
   /// value: a reference into the live vector could be invalidated (and
   /// raced) by a concurrent write()/scrub().
   [[nodiscard]] std::vector<Generation> generations() const WCK_EXCLUDES(mu_);
   /// Stale `*.tmp.*` files (commits torn by a crash) removed by the
-  /// constructor's sweep. They were never part of the manifest, so
-  /// deleting them is always safe — but a crashed process would
-  /// otherwise leak them forever.
+  /// constructor's sweep. They were never generations, so deleting them
+  /// is always safe — but a crashed process would otherwise leak them
+  /// forever.
   [[nodiscard]] std::size_t tmp_files_swept() const noexcept { return tmp_swept_; }
-  /// Sum of the committed generation sizes per the manifest — the value
-  /// the max_total_bytes quota is enforced against.
+  /// Sum of the committed generation sizes — the value the
+  /// max_total_bytes quota is enforced against.
   [[nodiscard]] std::uint64_t total_stored_bytes() const WCK_EXCLUDES(mu_);
   [[nodiscard]] const std::filesystem::path& dir() const noexcept { return dir_; }
 
  private:
   [[nodiscard]] IoBackend& io() const noexcept;
-  void sweep_stale_tmp_files() WCK_REQUIRES(mu_);
-  void load_manifest() WCK_REQUIRES(mu_);
-  void commit_manifest() WCK_REQUIRES(mu_);
+  /// Constructor-only: lists the generations and sweeps stale files.
+  void scan_directory() WCK_REQUIRES(mu_);
   void commit_with_retry(const std::filesystem::path& path, const Bytes& data);
   void rotate() WCK_REQUIRES(mu_);
   /// Reads + verifies + restores one generation; returns the info on

@@ -242,8 +242,8 @@ net::PutOkResponse CheckpointService::put(const net::PutRequest& req) {
     registry.add("state", &array);
     (void)tenant.manager->write(registry, req.step);
 
-    // Report manifest sizes, not codec payload sums: the quota is
-    // enforced in manifest bytes, so these are the numbers a client can
+    // Report generation file sizes, not codec payload sums: the quota
+    // is enforced in file bytes, so these are the numbers a client can
     // budget against.
     const std::vector<CheckpointManager::Generation> gens = tenant.manager->generations();
     net::PutOkResponse resp;

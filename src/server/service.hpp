@@ -1,9 +1,9 @@
 // CheckpointService — the multi-tenant store core behind `wckpt serve`.
 //
 // Each tenant is an isolated namespace: its own directory under the
-// service root, its own CheckpointManager (keep-K rotation, CRC
-// manifest, retry/backoff, scrub quarantine — the whole resilience
-// stack from src/ckpt) and its own byte quota. The service itself adds
+// service root, its own CheckpointManager (keep-K rotation of
+// self-checking generation files, retry/backoff, scrub quarantine — the
+// whole resilience stack from src/ckpt) and its own byte quota. The service itself adds
 // the two policies a shared store needs on top:
 //
 //   * Admission control — a bounded count of in-flight requests,
@@ -59,7 +59,7 @@ struct CheckpointServiceOptions {
 
 /// What the constructor's crash-recovery scan found under the root.
 struct RecoveryReport {
-  std::size_t tenants = 0;      ///< namespaces rebuilt from on-disk manifests
+  std::size_t tenants = 0;      ///< namespaces rebuilt from their directories
   std::size_t generations = 0;  ///< committed generations re-adopted
   std::size_t tmp_swept = 0;    ///< stale commit temp files removed
   std::size_t quarantined = 0;  ///< unreadable generations quarantined by scrub
@@ -73,8 +73,8 @@ class CheckpointService {
   /// backend means the process default. Creates `options.root` eagerly
   /// so a bad path fails at startup, not mid-request, then runs crash
   /// recovery: every directory under the root whose name is a valid
-  /// tenant name is re-adopted (manifest load rebuilds the quota
-  /// ledger), stale commit temp files are swept, and unreadable
+  /// tenant name is re-adopted (the manager's directory scan rebuilds
+  /// the quota ledger), stale commit temp files are swept, and unreadable
   /// generations are quarantined by a scrub pass — so a SIGKILL'd
   /// server restarts into exactly the state its durable commits
   /// describe, instead of rediscovering tenants only when a put
@@ -153,7 +153,7 @@ class CheckpointService {
   /// NotFoundError otherwise (get / named stat). Validates the name.
   [[nodiscard]] Tenant& tenant_for(const std::string& name, bool create)
       WCK_EXCLUDES(tenants_mu_);
-  /// Instantiates a tenant (manager construction loads its manifest).
+  /// Instantiates a tenant (manager construction scans its directory).
   [[nodiscard]] Tenant& create_tenant(const std::string& name) WCK_REQUIRES(tenants_mu_);
   /// Constructor-only: re-adopts on-disk tenants and scrubs them.
   void recover_from_disk() WCK_EXCLUDES(tenants_mu_);

@@ -4,10 +4,13 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <vector>
 
 #include "ckpt/checkpoint.hpp"
 #include "ckpt/codec.hpp"
 #include "core/synthetic.hpp"
+#include "io/io_backend.hpp"
+#include "legacy_writers.hpp"
 #include "stats/error_metrics.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -242,6 +245,103 @@ TEST(Checkpoint, TruncationDetected) {
     TwoFieldApp other;
     EXPECT_THROW((void)restore_checkpoint(cut, other.registry), Error);
   }
+}
+
+TEST(Checkpoint, TrailerKeepsAOneFieldGenerationItsV1Size) {
+  // v2 trades a one-field generation's field CRC for the trailer: same
+  // bytes stored, so stored ratios do not move.
+  NdArray<double> state = make_smooth_field(Shape{16, 16}, 3);
+  CheckpointRegistry reg;
+  reg.add("state", &state);
+  const Bytes payload = GzipCodec{}.encode(state);
+  EXPECT_EQ(serialize_checkpoint(reg, GzipCodec{}, 9).size(),
+            checkpoint_v1(9, {{"state", "gzip", payload}}).size());
+}
+
+TEST(Checkpoint, StepCheckRejectsAnotherStepsGeneration) {
+  TwoFieldApp app;
+  const Bytes data = serialize_checkpoint(app.registry, NullCodec{}, 5);
+  TwoFieldApp other;
+  other.temp = NdArray<double>(app.temp.shape(), 0.0);
+  EXPECT_THROW((void)restore_checkpoint(data, other.registry, 6), CorruptDataError);
+  EXPECT_THROW(verify_checkpoint(data, 6), CorruptDataError);
+  EXPECT_EQ(other.temp[0], 0.0);  // rejected before any array changed
+  EXPECT_NO_THROW(verify_checkpoint(data, 5));
+  EXPECT_EQ(restore_checkpoint(data, other.registry, 5).step, 5u);
+}
+
+const std::filesystem::path kLegacyGeneration =
+    std::filesystem::path(WCK_TEST_DATA_DIR) / "legacy" / "manager" / "ckpt.42.wck";
+
+TEST(Checkpoint, LegacyWriterReproducesTheFixtureGeneration) {
+  // checkpoint_v1 builds the v1 streams of the fuzz corpus and the
+  // hostile-shape cases; pin it to a generation the old library wrote.
+  const Bytes v1 = posix_backend().read_file(kLegacyGeneration);
+  ByteReader r(v1);
+  (void)r.u32();
+  (void)r.u8();
+  const std::uint64_t step = r.varint();
+  std::vector<CheckpointV1Field> fields(r.varint());
+  for (CheckpointV1Field& f : fields) {
+    f.name = r.str();
+    f.codec = r.str();
+    const auto payload = r.raw(r.varint());
+    f.payload.assign(payload.begin(), payload.end());
+    (void)r.u32();
+  }
+  EXPECT_EQ(checkpoint_v1(step, fields), v1);
+}
+
+/// Two arrays registered under the field names of a checkpoint.
+struct TwoTargets {
+  NdArray<double> first;
+  NdArray<double> second;
+  CheckpointRegistry registry;
+
+  TwoTargets(const char* a, const char* b) {
+    registry.add(a, &first);
+    registry.add(b, &second);
+  }
+};
+
+/// Flips every bit of `data` in turn. Each mutant must either fail with a
+/// typed error, leaving the arrays untouched, or restore exactly what the
+/// unflipped bytes restore at `step`. Returns how many restored.
+std::size_t flips_restored_exactly(Bytes data, const char* a, const char* b,
+                                   std::uint64_t step) {
+  TwoTargets want(a, b);
+  EXPECT_EQ(restore_checkpoint(data, want.registry, step).step, step);
+  std::size_t exact = 0;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    for (unsigned bit = 0; bit < 8; ++bit) {
+      data[i] ^= static_cast<std::byte>(1u << bit);
+      TwoTargets got(a, b);
+      try {
+        EXPECT_EQ(restore_checkpoint(data, got.registry, step).step, step);
+        EXPECT_TRUE(got.first == want.first && got.second == want.second)
+            << "byte " << i << " bit " << bit;
+        ++exact;
+      } catch (const Error&) {
+        EXPECT_EQ(got.first.size() + got.second.size(), 0u) << "byte " << i << " bit " << bit;
+      }
+      data[i] ^= static_cast<std::byte>(1u << bit);
+    }
+  }
+  return exact;
+}
+
+TEST(Checkpoint, EveryBitFlipOfALegacyGenerationIsRejected) {
+  // v1 leaves its header unchecked, so only the step check rejects flips
+  // of the step varint (byte 5), which decode as steps 10..106.
+  const Bytes v1 = posix_backend().read_file(kLegacyGeneration);
+  ASSERT_EQ(v1.size(), 4006u);
+  EXPECT_EQ(flips_restored_exactly(v1, "temperature", "noise", 42), 0u);
+}
+
+TEST(Checkpoint, EveryBitFlipOfAV2GenerationIsRejected) {
+  TwoFieldApp app;
+  const Bytes v2 = serialize_checkpoint(app.registry, WaveletLossyCodec{}, 9);
+  EXPECT_EQ(flips_restored_exactly(v2, "temperature", "pressure", 9), 0u);
 }
 
 TEST(Checkpoint, MixedCodecsAcrossCheckpointsDecodable) {

@@ -1,12 +1,13 @@
 // Test-only writers for stored layouts the library reads but no longer
-// writes: payload v2 and the WCKP v1 container. Each is the old library
-// writer's body, kept as the reference that pins old streams. The
-// decoders must accept their output, the golden digests of the v2 Fig. 9
-// / noise payloads are computed from them, and legacy_format_test checks
+// writes: payload v2, the WCKP v1 container and checkpoint v1. Each is
+// the old library writer's body, kept as the reference that pins old
+// streams. The decoders must accept their output, the golden digests of
+// the v2 Fig. 9 / noise payloads are computed from them, and tests check
 // them against fixtures written by the old library.
 #pragma once
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "deflate/deflate.hpp"
@@ -62,6 +63,33 @@ inline Bytes wckp_v1_container(std::span<const std::byte> input, std::size_t blo
     w.u32(crc32(block));
   }
   for (const Bytes& body : bodies) w.raw(body);
+  return w.take();
+}
+
+/// One field of a version 1 checkpoint: name, codec id and the codec's
+/// payload.
+struct CheckpointV1Field {
+  std::string name;
+  std::string codec;
+  Bytes payload;
+};
+
+/// Writes a version 1 checkpoint: the header, then each field with the
+/// CRC-32 of its payload after it. Nothing covers the header, the names
+/// or the codec ids.
+inline Bytes checkpoint_v1(std::uint64_t step, const std::vector<CheckpointV1Field>& fields) {
+  ByteWriter w;
+  w.u32(0x504B4357);  // "WCKP"
+  w.u8(1);
+  w.varint(step);
+  w.varint(fields.size());
+  for (const CheckpointV1Field& f : fields) {
+    w.str(f.name);
+    w.str(f.codec);
+    w.varint(f.payload.size());
+    w.raw(f.payload.data(), f.payload.size());
+    w.u32(crc32(std::span<const std::byte>(f.payload)));
+  }
   return w.take();
 }
 

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
@@ -406,19 +407,26 @@ TEST(CheckpointManager, ThrowsWhenNothingIsRestorable) {
   EXPECT_THROW((void)manager.restore(rreg), CorruptDataError);
 }
 
-TEST(CheckpointManager, ManifestSurvivesRestart) {
+TEST(CheckpointManager, GenerationsSurviveRestart) {
   TempDir dir;
   const NullCodec codec;
   NdArray<double> state = test_field();
   CheckpointRegistry reg;
   reg.add("state", &state);
+  std::uint64_t total = 0;
   {
     CheckpointManager manager(dir.path(), codec, fast_options(3), &posix_backend());
     for (std::uint64_t step = 1; step <= 4; ++step) (void)manager.write(reg, step);
+    total = manager.total_stored_bytes();
+  }
+  // The generation files are the only record a restart reads.
+  for (const auto& e : std::filesystem::directory_iterator(dir.path())) {
+    EXPECT_TRUE(step_from_file_name(e.path().filename().string()).has_value()) << e.path();
   }
   CheckpointManager reborn(dir.path(), codec, fast_options(3), &posix_backend());
   ASSERT_EQ(reborn.generations().size(), 3u);
   EXPECT_EQ(reborn.generations()[0].step, 4u);
+  EXPECT_EQ(reborn.total_stored_bytes(), total);
 
   NdArray<double> restored;
   CheckpointRegistry rreg;
@@ -426,20 +434,24 @@ TEST(CheckpointManager, ManifestSurvivesRestart) {
   EXPECT_EQ(reborn.restore(rreg).step, 4u);
 }
 
-TEST(CheckpointManager, RebuildsFromScanWhenManifestLost) {
+TEST(CheckpointManager, NextOpenRotatesOutTheOrphanOfAFailedRemove) {
   TempDir dir;
   const NullCodec codec;
   NdArray<double> state = test_field();
   CheckpointRegistry reg;
   reg.add("state", &state);
   {
-    CheckpointManager manager(dir.path(), codec, fast_options(3), &posix_backend());
+    FaultInjectingBackend io(FaultPlan::parse("remove:fail@1"), posix_backend());
+    CheckpointManager manager(dir.path(), codec, fast_options(2), &io);
     for (std::uint64_t step = 1; step <= 3; ++step) (void)manager.write(reg, step);
+    // Step 3's rotation could not remove step 1; the put still stands.
+    EXPECT_EQ(io.fault_count(), 1u);
+    EXPECT_EQ(manager.generations().size(), 2u);
+    EXPECT_TRUE(posix_backend().exists(dir.path() / "ckpt.1.wck"));
   }
-  ASSERT_TRUE(posix_backend().remove_file(dir.path() / "MANIFEST"));
-
-  CheckpointManager reborn(dir.path(), codec, fast_options(3), &posix_backend());
-  ASSERT_EQ(reborn.generations().size(), 3u);
+  CheckpointManager reborn(dir.path(), codec, fast_options(2), &posix_backend());
+  EXPECT_FALSE(posix_backend().exists(dir.path() / "ckpt.1.wck"));
+  ASSERT_EQ(reborn.generations().size(), 2u);
   NdArray<double> restored;
   CheckpointRegistry rreg;
   rreg.add("state", &restored);
@@ -448,11 +460,146 @@ TEST(CheckpointManager, RebuildsFromScanWhenManifestLost) {
   EXPECT_EQ(restored, state);
 }
 
+TEST(CheckpointManager, EveryFailPointReopensToTheFilesOnDisk) {
+  // Fails each I/O op of a five-put sequence in turn (one attempt, no
+  // retry), stops at the first IoError, and reopens on a healthy
+  // backend. Whatever the fault interrupted, the reopened list and
+  // quota ledger must match the generation files, and restore must
+  // return the last acknowledged step or a newer committed one.
+  const NullCodec codec;
+  const std::uint64_t puts[] = {1, 2, 3, 3, 4};  // the rewrite writes the same field
+  std::size_t fail_points = 0;
+  for (const char* op : {"write", "fsync", "rename", "fsyncdir", "remove"}) {
+    for (std::uint64_t n = 1;; ++n) {
+      const std::string plan = std::string(op) + ":fail@" + std::to_string(n);
+      SCOPED_TRACE(plan);
+      TempDir dir;
+      FaultInjectingBackend io(FaultPlan::parse(plan), posix_backend());
+      std::optional<std::uint64_t> acked;
+      {
+        CheckpointManager manager(dir.path(), codec, fast_options(2, 1), &io);
+        for (const std::uint64_t step : puts) {
+          NdArray<double> state = test_field(step);
+          CheckpointRegistry reg;
+          reg.add("state", &state);
+          try {
+            (void)manager.write(reg, step);
+          } catch (const IoError&) {
+            break;
+          }
+          acked = step;
+        }
+      }
+      if (io.fault_count() == 0) break;
+      ++fail_points;
+
+      CheckpointManager reopened(dir.path(), codec, fast_options(2, 1), &posix_backend());
+      std::set<std::string> files;
+      std::uint64_t bytes = 0;
+      for (const auto& e : std::filesystem::directory_iterator(dir.path())) {
+        const std::string name = e.path().filename().string();
+        EXPECT_EQ(name.find(".tmp."), std::string::npos) << name;
+        if (!step_from_file_name(name).has_value()) continue;
+        files.insert(name);
+        bytes += e.file_size();
+      }
+      std::set<std::string> listed;
+      for (const auto& gen : reopened.generations()) listed.insert(gen.file);
+      EXPECT_EQ(listed, files);
+      EXPECT_EQ(reopened.total_stored_bytes(), bytes);
+
+      NdArray<double> restored;
+      CheckpointRegistry rreg;
+      rreg.add("state", &restored);
+      RestoreOutcome outcome;
+      try {
+        outcome = reopened.restore(rreg);
+      } catch (const Error& e) {
+        EXPECT_FALSE(acked.has_value()) << "step " << *acked << " was acknowledged: " << e.what();
+        continue;
+      }
+      EXPECT_GE(outcome.step, acked.value_or(0));
+      EXPECT_EQ(restored, test_field(outcome.step));
+    }
+  }
+  // Four ops per put, five puts, plus the two rotation removes.
+  EXPECT_EQ(fail_points, 22u);
+}
+
+const std::filesystem::path kLegacyStore =
+    std::filesystem::path(WCK_TEST_DATA_DIR) / "legacy" / "manager";
+
+TEST(CheckpointManager, OpensAPreviousReleaseStoreByScan) {
+  // The previous release kept a MANIFEST beside the generations. The
+  // scan adopts the generation file and the open sweeps the MANIFEST.
+  TempDir dir;
+  std::filesystem::copy(kLegacyStore, dir.path());
+  ASSERT_TRUE(posix_backend().exists(dir.path() / "MANIFEST"));
+  const WaveletLossyCodec codec;
+  CheckpointManager manager(dir.path(), codec, fast_options(), &posix_backend());
+  EXPECT_FALSE(posix_backend().exists(dir.path() / "MANIFEST"));
+  EXPECT_EQ(manager.tmp_files_swept(), 0u);
+  ASSERT_EQ(manager.generations().size(), 1u);
+  EXPECT_EQ(manager.generations()[0].file, "ckpt.42.wck");
+  EXPECT_EQ(manager.total_stored_bytes(), 4006u);
+
+  NdArray<double> temperature;
+  NdArray<double> noise;
+  CheckpointRegistry reg;
+  reg.add("temperature", &temperature);
+  reg.add("noise", &noise);
+  const RestoreOutcome outcome = manager.restore(reg);
+  EXPECT_EQ(outcome.step, 42u);
+  EXPECT_EQ(outcome.source, RestoreSource::kPrimary);
+  EXPECT_EQ(manager.scrub().corrupt, 0u);
+}
+
+TEST(CheckpointManager, ScrubQuarantinesAPayloadCorruptLegacyGeneration) {
+  // scrub checks a v1 generation's field CRCs, not only its magic, so a
+  // payload-corrupt legacy file leaves the restore chain.
+  TempDir dir;
+  std::filesystem::copy(kLegacyStore / "ckpt.42.wck", dir.path() / "ckpt.42.wck");
+  corrupt_file(dir.path() / "ckpt.42.wck", 1000);  // inside the temperature payload
+  const WaveletLossyCodec codec;
+  CheckpointManager manager(dir.path(), codec, fast_options(), &posix_backend());
+  const ScrubReport report = manager.scrub();
+  EXPECT_EQ(report.corrupt, 1u);
+  ASSERT_EQ(report.quarantined.size(), 1u);
+  EXPECT_TRUE(manager.generations().empty());
+  EXPECT_EQ(manager.total_stored_bytes(), 0u);
+}
+
+TEST(CheckpointManager, RestoreSkipsAGenerationFiledUnderAnotherStep) {
+  TempDir dir;
+  const NullCodec codec;
+  NdArray<double> state = test_field(1);
+  CheckpointRegistry reg;
+  reg.add("state", &state);
+  {
+    CheckpointManager manager(dir.path(), codec, fast_options(3), &posix_backend());
+    (void)manager.write(reg, 1);
+    state = test_field(2);
+    (void)manager.write(reg, 2);
+  }
+  // A valid generation under the wrong name: its header says step 1.
+  std::filesystem::copy_file(dir.path() / "ckpt.1.wck", dir.path() / "ckpt.2.wck",
+                             std::filesystem::copy_options::overwrite_existing);
+  CheckpointManager reborn(dir.path(), codec, fast_options(3), &posix_backend());
+  NdArray<double> restored;
+  CheckpointRegistry rreg;
+  rreg.add("state", &restored);
+  const RestoreOutcome outcome = reborn.restore(rreg);
+  EXPECT_EQ(outcome.step, 1u);
+  EXPECT_EQ(outcome.source, RestoreSource::kOlderGeneration);
+  EXPECT_EQ(restored, test_field(1));
+  EXPECT_EQ(reborn.scrub().corrupt, 1u);
+}
+
 // Regression test for the monitor introduced with the thread-safety
 // annotation pass: CheckpointManager previously had no lock at all, so
-// concurrent write() calls raced on the generation list and manifest
-// commits could interleave. Under the monitor, every write must land as
-// its own generation and the manifest must stay loadable.
+// concurrent write() calls raced on the generation list. Under the
+// monitor, every write must land as its own generation and a reopened
+// store must list them all.
 TEST(CheckpointManager, ConcurrentWritersKeepGenerationsConsistent) {
   TempDir dir;
   const NullCodec codec;
@@ -484,8 +631,8 @@ TEST(CheckpointManager, ConcurrentWritersKeepGenerationsConsistent) {
   EXPECT_EQ(steps.size(), kTotal);
   EXPECT_EQ(*steps.rbegin(), kTotal);
 
-  // The manifest the interleaved writers committed is what a fresh
-  // manager loads, and the newest generation restores.
+  // The files the interleaved writers committed are what a fresh
+  // manager lists, and the newest generation restores.
   CheckpointManager reborn(dir.path(), codec, fast_options(kTotal), &posix_backend());
   ASSERT_EQ(reborn.generations().size(), kTotal);
   NdArray<double> restored;
@@ -521,6 +668,34 @@ TEST(CheckpointManager, ScrubQuarantinesCorruptGenerations) {
   // A clean store scrubs clean.
   const ScrubReport again = manager.scrub();
   EXPECT_EQ(again.corrupt, 0u);
+}
+
+TEST(CheckpointManager, ScrubKeepsListingAGenerationItCannotSetAside) {
+  TempDir dir;
+  const NullCodec codec;
+  NdArray<double> state = test_field();
+  CheckpointRegistry reg;
+  reg.add("state", &state);
+  {
+    CheckpointManager manager(dir.path(), codec, fast_options(3), &posix_backend());
+    for (std::uint64_t step = 1; step <= 2; ++step) (void)manager.write(reg, step);
+  }
+  corrupt_file(dir.path() / "ckpt.2.wck", 25);
+  FaultInjectingBackend io(FaultPlan::parse("rename:fail@1"), posix_backend());
+  CheckpointManager manager(dir.path(), codec, fast_options(3), &io);
+  const std::uint64_t total = manager.total_stored_bytes();
+
+  // The quarantine rename fails: the file stays under its committed
+  // name, so it stays listed and charged, and restore skips it.
+  const ScrubReport report = manager.scrub();
+  EXPECT_EQ(report.corrupt, 1u);
+  EXPECT_TRUE(report.quarantined.empty());
+  EXPECT_EQ(manager.generations().size(), 2u);
+  EXPECT_EQ(manager.total_stored_bytes(), total);
+  NdArray<double> restored;
+  CheckpointRegistry rreg;
+  rreg.add("state", &restored);
+  EXPECT_EQ(manager.restore(rreg).step, 1u);
 }
 
 // --------------------------------------------------------- async writer

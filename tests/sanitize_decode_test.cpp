@@ -27,6 +27,7 @@
 #include "deflate/parallel.hpp"
 #include "encode/payload.hpp"
 #include "fpc/fpc.hpp"
+#include "legacy_writers.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
 #include "szlike/lorenzo.hpp"
@@ -564,21 +565,6 @@ net::Frame get_ok_frame(std::initializer_list<std::uint64_t> extents) {
   return net::Frame{static_cast<std::uint8_t>(net::MessageType::kGetOk), w.take()};
 }
 
-/// A one-field checkpoint with a valid CRC whose field names `codec`.
-Bytes checkpoint_stream(const std::string& codec, const Bytes& payload) {
-  ByteWriter w;
-  w.u32(0x504B4357);  // "WCKP"
-  w.u8(1);
-  w.varint(3);  // step
-  w.varint(1);  // fields
-  w.str("state");
-  w.str(codec);
-  w.varint(payload.size());
-  w.raw(payload.data(), payload.size());
-  w.u32(crc32(std::span<const std::byte>(payload)));
-  return w.take();
-}
-
 /// The arrays a hostile image or checkpoint restores into. A rejected
 /// restore leaves both as they were.
 struct RestoreTargets {
@@ -676,11 +662,12 @@ const HostileShapeCase kHostileShapes[] = {
     {"CheckpointZfpLikeFieldWraps", "checkpoint: zfplike field 2^33 x 2^33",
      [](RestoreTargets& t) {
        (void)restore_checkpoint(
-           checkpoint_stream("zfplike", zfplike_stream({kTwo33, kTwo33}, 1)), t.live_registry);
+           checkpoint_v1(3, {{"state", "zfplike", zfplike_stream({kTwo33, kTwo33}, 1)}}),
+           t.live_registry);
      }},
     {"CheckpointNullFieldWraps", "checkpoint: null field 2^32 x 2^32 into an empty array",
      [](RestoreTargets& t) {
-       (void)restore_checkpoint(checkpoint_stream("null", raw_stream({kTwo32, kTwo32})),
+       (void)restore_checkpoint(checkpoint_v1(3, {{"state", "null", raw_stream({kTwo32, kTwo32})}}),
                                 t.empty_registry);
      }},
 };

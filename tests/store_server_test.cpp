@@ -190,7 +190,7 @@ TEST(StoreServer, ClientShutdownStopsTheServer) {
   h.server.stop();
   EXPECT_THROW((void)StoreClient::connect(h.server.socket_path()), IoError);
   // The data the server accepted is durable past its lifetime.
-  EXPECT_TRUE(std::filesystem::exists(h.options.root / "t" / "MANIFEST"));
+  EXPECT_TRUE(std::filesystem::exists(h.options.root / "t" / "ckpt.1.wck"));
 }
 
 TEST(StoreServer, ConcurrentClientsSmoke) {
@@ -500,7 +500,7 @@ TEST(StoreServer, StopDrainsInFlightRequestToCompletion) {
   EXPECT_TRUE(put_ok.load());
 
   // The commit the drain protected is durable.
-  EXPECT_TRUE(std::filesystem::exists(h.options.root / "t" / "MANIFEST"));
+  EXPECT_TRUE(std::filesystem::exists(h.options.root / "t" / "ckpt.1.wck"));
 }
 
 TEST(StoreServer, ForcedDrainSurfacesTypedErrorToClient) {

@@ -60,7 +60,6 @@
 #include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -102,7 +101,7 @@ constexpr const char kUsageText[] =
     "             --kill-every > 0 runs the server as a child process and\n"
     "             SIGKILLs + restarts it every CYCLES completed client\n"
     "             cycles, checking startup recovery and the quota ledger\n"
-    "             (stat vs a local manifest scan) after each restart.\n"
+    "             (stat vs a local directory scan) after each restart.\n"
     "  serve      --socket=PATH --root=DIR [--keep=3] [--quota=BYTES]\n"
     "             [--max-inflight=8] [--admission=block|reject]\n"
     "             [--codec=null|gzip|wavelet|fpc] [--fault-plan=SPEC]\n"
@@ -1076,10 +1075,10 @@ int cmd_top(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-/// One tenant's quota ledger recomputed straight from its on-disk
-/// MANIFEST — the ground truth a crash-restarted server must agree
-/// with. Tenants whose directory exists but holds no readable manifest
-/// count as empty (a first write that never committed).
+/// One tenant's quota ledger recomputed straight from the generation
+/// files in its directory — the ground truth a crash-restarted server
+/// must agree with. A tenant directory without one counts as empty (a
+/// first write that never committed).
 struct TenantLedger {
   std::uint64_t generations = 0;
   std::uint64_t bytes = 0;
@@ -1089,26 +1088,17 @@ struct TenantLedger {
 std::map<std::string, TenantLedger> scan_ledgers(const std::filesystem::path& root) {
   std::map<std::string, TenantLedger> out;
   std::error_code ec;
-  for (const auto& entry : std::filesystem::directory_iterator(root, ec)) {
-    if (!entry.is_directory()) continue;
+  for (const auto& tenant : std::filesystem::directory_iterator(root, ec)) {
+    if (!tenant.is_directory()) continue;
     TenantLedger ledger;
-    std::ifstream f(entry.path() / "MANIFEST");
-    std::string line;
-    if (f && std::getline(f, line) && line == "wck-manifest v1") {
-      while (std::getline(f, line)) {
-        if (line.empty()) continue;
-        std::istringstream ls(line);
-        std::uint64_t step = 0;
-        std::uint64_t size = 0;
-        std::string crc;
-        std::string file;
-        if (!(ls >> step >> crc >> size >> file)) continue;
-        ++ledger.generations;
-        ledger.bytes += size;
-        ledger.newest_step = std::max(ledger.newest_step, step);
-      }
+    for (const auto& entry : std::filesystem::directory_iterator(tenant.path(), ec)) {
+      const auto step = step_from_file_name(entry.path().filename().string());
+      if (!step.has_value()) continue;
+      ++ledger.generations;
+      ledger.bytes += entry.file_size();
+      ledger.newest_step = std::max(ledger.newest_step, *step);
     }
-    out[entry.path().filename().string()] = ledger;
+    out[tenant.path().filename().string()] = ledger;
   }
   return out;
 }
@@ -1179,8 +1169,8 @@ struct KillGate {
 /// With --kill-every=C the server instead runs as a child process that
 /// the soak SIGKILLs and restarts every C completed client cycles,
 /// proving startup recovery: after each restart the quota ledger the
-/// server reports (stat) must equal one recomputed from the on-disk
-/// manifests, and every restore must still verify bit-for-bit.
+/// server reports (stat) must equal one recomputed from the generation
+/// files on disk, and every restore must still verify bit-for-bit.
 ///
 /// The oracle is regeneration, not history: tenant t's state at step s
 /// is a pure function of (seed, t, s), so any client can verify any
@@ -1347,7 +1337,7 @@ int cmd_soak_server(const std::map<std::string, std::string>& flags) {
   // The reaper: every kill_every completed cycles, park all workers at
   // their cycle boundary, SIGKILL the server, restart it, and check
   // that the recovered quota ledger (stat) equals one recomputed from
-  // the on-disk manifests — byte for byte, step for step.
+  // the generation files on disk — byte for byte, step for step.
   std::uint64_t kills = 0;
   std::uint64_t ledger_mismatches = 0;
   if (reaper) {

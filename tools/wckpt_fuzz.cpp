@@ -1,12 +1,14 @@
 // Deterministic decode-robustness fuzz driver.
 //
 // Builds a corpus of valid encoded artifacts — a Fig. 5 payload, full
-// WaveletCompressor streams (one- and multi-segment), a multi-field
-// checkpoint, raw DEFLATE with the gzip/zlib/WCKP containers, the
-// decode-only layouts (payload v2, WCKP v1, entropy tags 1 and 2), FPC
-// and truncation streams — then applies seeded random
+// WaveletCompressor streams (one- and multi-segment), multi-field
+// checkpoints, raw DEFLATE with the gzip/zlib/WCKP containers, the
+// decode-only layouts (payload v2, WCKP v1, checkpoint v1, entropy tags
+// 1 and 2), FPC and truncation streams — then applies seeded random
 // mutations (bit flips, truncations, length-field corruption; see
-// util/mutate.hpp) and feeds each mutant to its decoder. The contract:
+// util/mutate.hpp) and feeds each mutant to its decoder. Checkpoint v2
+// mutants get their CRC-32 trailer recomputed first, so they reach the
+// parser behind it instead of all dying at one compare. The contract:
 // every decoder either throws a typed wck::Error or returns a valid
 // result. Any other exception, crash, or sanitizer report is a defect.
 //
@@ -37,6 +39,7 @@
 #include "legacy_writers.hpp"
 #include "net/frame.hpp"
 #include "net/protocol.hpp"
+#include "util/checksum.hpp"
 #include "util/error.hpp"
 #include "util/mutate.hpp"
 #include "util/rng.hpp"
@@ -92,24 +95,33 @@ std::vector<CorpusEntry> build_corpus() {
     CheckpointRegistry reg;
     reg.add("alpha", &a);
     reg.add("beta", &b);
+    const auto restore = [](const Bytes& bytes) {
+      NdArray<double> ra;
+      NdArray<double> rb;
+      CheckpointRegistry rreg;
+      rreg.add("alpha", &ra);
+      rreg.add("beta", &rb);
+      (void)restore_checkpoint(bytes, rreg);
+    };
+    // v2: re-sign the mutant so the trailer compare passes.
+    const auto resigned_restore = [restore](Bytes bytes) {
+      if (bytes.size() >= 4) {
+        const std::size_t covered = bytes.size() - 4;
+        const std::uint32_t crc = crc32(std::span<const std::byte>(bytes).first(covered));
+        for (std::size_t i = 0; i < 4; ++i) {
+          bytes[covered + i] = static_cast<std::byte>(crc >> (8 * i));
+        }
+      }
+      restore(bytes);
+    };
     corpus.push_back({"checkpoint-gzip", serialize_checkpoint(reg, GzipCodec{}, 5),
-                      [](const Bytes& bytes) {
-                        NdArray<double> ra;
-                        NdArray<double> rb;
-                        CheckpointRegistry rreg;
-                        rreg.add("alpha", &ra);
-                        rreg.add("beta", &rb);
-                        (void)restore_checkpoint(bytes, rreg);
-                      }});
+                      resigned_restore});
     corpus.push_back({"checkpoint-lossy", serialize_checkpoint(reg, WaveletLossyCodec{}, 6),
-                      [](const Bytes& bytes) {
-                        NdArray<double> ra;
-                        NdArray<double> rb;
-                        CheckpointRegistry rreg;
-                        rreg.add("alpha", &ra);
-                        rreg.add("beta", &rb);
-                        (void)restore_checkpoint(bytes, rreg);
-                      }});
+                      resigned_restore});
+    corpus.push_back({"checkpoint-v1",
+                      checkpoint_v1(7, {{"alpha", "gzip", GzipCodec{}.encode(a)},
+                                        {"beta", "wavelet-lossy", WaveletLossyCodec{}.encode(b)}}),
+                      restore});
   }
 
   Bytes text(6000);
