@@ -30,6 +30,8 @@ int main(int argc, char** argv) {
   std::printf("array: %zux%zux%zu (%.2f MB), %d repeats\n\n", nx, ny, nz,
               static_cast<double>(field.size_bytes()) / 1e6, repeats);
 
+  // Stage times are read from the telemetry histograms, reset per mode.
+  telemetry::set_enabled(true);
   print_row({"entropy mode", "rate [%]", "entropy time [ms]", "total time [ms]"}, 20);
   for (const auto mode : {EntropyMode::kNone, EntropyMode::kHuffmanOnly, EntropyMode::kDeflate,
                           EntropyMode::kTempFileGzip}) {
@@ -38,16 +40,20 @@ int main(int argc, char** argv) {
     p.entropy = mode;
     const WaveletCompressor c(p);
 
+    telemetry::MetricsRegistry::global().reset();
     double rate = 0.0;
-    StageTimes stages;
     for (int r = 0; r < repeats; ++r) {
-      const auto comp = c.compress(field);
-      stages.merge(comp.times);
-      rate = comp.compression_rate_percent();
+      rate = c.compress(field).compression_rate_percent();
     }
+    const auto snapshot = telemetry::MetricsRegistry::global().snapshot();
     const double entropy_ms =
-        (stages.get("gzip") + stages.get("temp_file_write")) / repeats * 1e3;
-    const double total_ms = stages.total() / repeats * 1e3;
+        (stage_mean(snapshot, "deflate") + stage_mean(snapshot, "temp_file_write")) * 1e3;
+    // compress() times these six stages once each; they do not overlap.
+    double total_ms = 0.0;
+    for (const char* stage : {"other", "wavelet", "quantize", "encode", "temp_file_write",
+                              "deflate"}) {
+      total_ms += stage_mean(snapshot, stage) * 1e3;
+    }
     const char* name = "temp-file gzip";
     if (mode == EntropyMode::kNone) name = "none";
     if (mode == EntropyMode::kHuffmanOnly) name = "huffman-only";

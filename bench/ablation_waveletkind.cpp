@@ -9,7 +9,6 @@
 
 #include "bench_common.hpp"
 #include "core/compressor.hpp"
-#include "util/timer.hpp"
 
 using namespace wck;
 using namespace wck::bench;
@@ -26,6 +25,8 @@ int main(int argc, char** argv) {
   model.run(workload.warmup_steps);
   const auto& temp = model.temperature();
 
+  // The transform time is read from its telemetry histogram.
+  telemetry::set_enabled(true);
   print_row({"wavelet", "rate [%]", "avg err [%]", "max err [%]", "wavelet [ms]"}, 15);
   for (const auto kind : {WaveletKind::kHaar, WaveletKind::kCdf53, WaveletKind::kCdf97}) {
     CompressionParams p;
@@ -34,16 +35,14 @@ int main(int argc, char** argv) {
     p.wavelet = kind;
     const WaveletCompressor c(p);
     // Average the transform stage over a few runs.
-    StageTimes times;
+    telemetry::MetricsRegistry::global().reset();
     WaveletCompressor::RoundTrip rt;
-    for (int r = 0; r < 3; ++r) {
-      rt = c.round_trip(temp);
-      times.merge(rt.compressed.times);
-    }
+    for (int r = 0; r < 3; ++r) rt = c.round_trip(temp);
+    const auto snapshot = telemetry::MetricsRegistry::global().snapshot();
     print_row({wavelet_kind_name(kind), fmt("%.2f", rt.compressed.compression_rate_percent()),
                fmt("%.4f", rt.error.mean_rel_percent()),
                fmt("%.4f", rt.error.max_rel_percent()),
-               fmt("%.3f", times.get("wavelet") / 3 * 1e3)},
+               fmt("%.3f", stage_mean(snapshot, "wavelet") * 1e3)},
               15);
   }
   return 0;

@@ -97,6 +97,14 @@ inline void print_header(const char* title, const char* paper_expectation) {
   std::printf("==============================================================\n");
 }
 
+/// Mean seconds per call of one codec stage (its "stage.<name>.seconds"
+/// histogram) in `snapshot`; 0 if it never ran.
+[[nodiscard]] inline double stage_mean(const telemetry::MetricsSnapshot& snapshot,
+                                       const std::string& stage) {
+  const auto it = snapshot.histograms.find("stage." + stage + ".seconds");
+  return it == snapshot.histograms.end() ? 0.0 : it->second.mean;
+}
+
 /// Wraps a RunReport in the BENCH_*.json schema (see EXPERIMENTS.md):
 ///
 ///   { "schema": "wck-bench-record", "schema_version": 1,

@@ -157,9 +157,12 @@ int main(int argc, char** argv) {
     const std::string label = "sharded t=" + std::to_string(threads);
     std::printf("%-22s %10.1f MB/s comp %10.1f MB/s decomp  (%zu bytes)\n", label.c_str(),
                 mbps(payload.size(), comp_s), mbps(payload.size(), decomp_s), sharded.size());
+    // Not WCK_GAUGE_SET: its per-call-site handle would bind every
+    // worker count to the first name.
+    auto& registry = telemetry::MetricsRegistry::global();
     const std::string prefix = "deflate.sharded.t" + std::to_string(threads);
-    WCK_GAUGE_SET(prefix + ".compress.mbps", mbps(payload.size(), comp_s));
-    WCK_GAUGE_SET(prefix + ".decompress.mbps", mbps(payload.size(), decomp_s));
+    registry.gauge(prefix + ".compress.mbps").set(mbps(payload.size(), comp_s));
+    registry.gauge(prefix + ".decompress.mbps").set(mbps(payload.size(), decomp_s));
   }
 
   const double drift =

@@ -10,6 +10,7 @@
 
 #include "core/compressor.hpp"
 #include "core/synthetic.hpp"
+#include "telemetry/telemetry.hpp"
 
 int main() {
   using namespace wck;
@@ -36,8 +37,12 @@ int main() {
   std::printf("quantized %zu of %zu high-band coefficients to 1-byte indexes\n",
               compressed.quantized_count, compressed.high_count);
 
+  // Each stage records its time into a "stage.<name>.seconds" telemetry
+  // histogram (on unless WCK_TELEMETRY=off).
   std::printf("stage times:\n");
-  for (const auto& [stage, seconds] : compressed.times.by_stage()) {
+  telemetry::RunReport report;
+  report.capture_global();
+  for (const auto& [stage, seconds] : report.stages_seconds) {
     std::printf("  %-16s %8.3f ms\n", stage.c_str(), seconds * 1e3);
   }
 

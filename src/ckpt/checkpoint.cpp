@@ -107,7 +107,7 @@ Bytes serialize_checkpoint(const CheckpointRegistry& registry, const Codec& code
   w.varint(step);
   w.varint(registry.entries().size());
   for (const auto& e : registry.entries()) {
-    const Bytes payload = codec.encode(*e.array, &local.times);
+    const Bytes payload = codec.encode(*e.array);
     w.str(e.name);
     w.str(codec.name());
     w.varint(payload.size());

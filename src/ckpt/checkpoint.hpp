@@ -25,7 +25,6 @@
 #include "ckpt/codec.hpp"
 #include "ndarray/ndarray.hpp"
 #include "util/bytes.hpp"
-#include "util/timer.hpp"
 
 namespace wck {
 
@@ -58,7 +57,6 @@ struct CheckpointInfo {
   std::size_t field_count = 0;
   std::size_t original_bytes = 0;   ///< sum of raw array sizes
   std::size_t stored_bytes = 0;     ///< sum of encoded payload sizes
-  StageTimes times;                 ///< accumulated codec stage times
 
   /// Eq. 5 over the whole checkpoint.
   [[nodiscard]] double compression_rate_percent() const noexcept {

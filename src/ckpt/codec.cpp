@@ -6,7 +6,9 @@
 #include "deflate/deflate.hpp"
 #include "fpc/fpc.hpp"
 #include "szlike/lorenzo.hpp"
+#include "telemetry/metrics.hpp"
 #include "util/error.hpp"
+#include "util/timer.hpp"
 #include "zfplike/block_codec.hpp"
 
 namespace wck {
@@ -31,14 +33,10 @@ NdArray<double> parse_raw(std::span<const std::byte> data) {
 
 }  // namespace
 
-Bytes NullCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  StageTimes local;
-  Bytes out;
-  {
-    ScopedStage stage(local, "other");
-    out = serialize_raw(array);
-  }
-  if (times != nullptr) times->merge(local);
+Bytes NullCodec::do_encode(const NdArray<double>& array, StageTimes*) const {
+  const WallTimer timer;
+  Bytes out = serialize_raw(array);
+  WCK_HISTOGRAM_RECORD("stage.other.seconds", timer.seconds());
   return out;
 }
 
@@ -46,19 +44,13 @@ NdArray<double> NullCodec::do_decode(std::span<const std::byte> data) const {
   return parse_raw(data);
 }
 
-Bytes GzipCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  StageTimes local;
-  Bytes raw;
-  {
-    ScopedStage stage(local, "other");
-    raw = serialize_raw(array);
-  }
-  Bytes out;
-  {
-    ScopedStage stage(local, "gzip");
-    out = gzip_compress(raw, DeflateOptions{level_});
-  }
-  if (times != nullptr) times->merge(local);
+Bytes GzipCodec::do_encode(const NdArray<double>& array, StageTimes*) const {
+  WallTimer timer;
+  const Bytes raw = serialize_raw(array);
+  WCK_HISTOGRAM_RECORD("stage.other.seconds", timer.seconds());
+  timer.restart();
+  Bytes out = gzip_compress(raw, DeflateOptions{level_});
+  WCK_HISTOGRAM_RECORD("stage.gzip.seconds", timer.seconds());
   return out;
 }
 
@@ -66,27 +58,22 @@ NdArray<double> GzipCodec::do_decode(std::span<const std::byte> data) const {
   return parse_raw(gzip_decompress(data));
 }
 
-Bytes WaveletLossyCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  CompressedArray comp = compressor_.compress(array);
-  if (times != nullptr) times->merge(comp.times);
-  return std::move(comp.data);
+Bytes WaveletLossyCodec::do_encode(const NdArray<double>& array, StageTimes*) const {
+  return compressor_.compress(array).data;
 }
 
 NdArray<double> WaveletLossyCodec::do_decode(std::span<const std::byte> data) const {
   return WaveletCompressor::decompress(data);
 }
 
-Bytes FpcCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  StageTimes local;
+Bytes FpcCodec::do_encode(const NdArray<double>& array, StageTimes*) const {
+  const WallTimer timer;
   ByteWriter w;
-  {
-    ScopedStage stage(local, "fpc");
-    w.u8(static_cast<std::uint8_t>(array.rank()));
-    for (std::size_t a = 0; a < array.rank(); ++a) w.varint(array.extent(a));
-    const Bytes body = fpc_compress(array.values(), FpcOptions{table_log2_});
-    w.raw(body.data(), body.size());
-  }
-  if (times != nullptr) times->merge(local);
+  w.u8(static_cast<std::uint8_t>(array.rank()));
+  for (std::size_t a = 0; a < array.rank(); ++a) w.varint(array.extent(a));
+  const Bytes body = fpc_compress(array.values(), FpcOptions{table_log2_});
+  w.raw(body.data(), body.size());
+  WCK_HISTOGRAM_RECORD("stage.fpc.seconds", timer.seconds());
   return w.take();
 }
 
@@ -101,14 +88,10 @@ NdArray<double> FpcCodec::do_decode(std::span<const std::byte> data) const {
   return NdArray<double>(shape, std::move(values));
 }
 
-Bytes SzLikeCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  StageTimes local;
-  Bytes out;
-  {
-    ScopedStage stage(local, "szlike");
-    out = szlike_compress(array, SzLikeOptions{error_bound_, 6});
-  }
-  if (times != nullptr) times->merge(local);
+Bytes SzLikeCodec::do_encode(const NdArray<double>& array, StageTimes*) const {
+  const WallTimer timer;
+  Bytes out = szlike_compress(array, SzLikeOptions{error_bound_, 6});
+  WCK_HISTOGRAM_RECORD("stage.szlike.seconds", timer.seconds());
   return out;
 }
 
@@ -116,14 +99,10 @@ NdArray<double> SzLikeCodec::do_decode(std::span<const std::byte> data) const {
   return szlike_decompress(data);
 }
 
-Bytes ZfpLikeCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  StageTimes local;
-  Bytes out;
-  {
-    ScopedStage stage(local, "zfplike");
-    out = zfplike_compress(array, ZfpLikeOptions{precision_, 6});
-  }
-  if (times != nullptr) times->merge(local);
+Bytes ZfpLikeCodec::do_encode(const NdArray<double>& array, StageTimes*) const {
+  const WallTimer timer;
+  Bytes out = zfplike_compress(array, ZfpLikeOptions{precision_, 6});
+  WCK_HISTOGRAM_RECORD("stage.zfplike.seconds", timer.seconds());
   return out;
 }
 
@@ -131,14 +110,10 @@ NdArray<double> ZfpLikeCodec::do_decode(std::span<const std::byte> data) const {
   return zfplike_decompress(data);
 }
 
-Bytes TruncationCodec::do_encode(const NdArray<double>& array, StageTimes* times) const {
-  StageTimes local;
-  Bytes out;
-  {
-    ScopedStage stage(local, "truncation");
-    out = truncation_compress(array, keep_, level_);
-  }
-  if (times != nullptr) times->merge(local);
+Bytes TruncationCodec::do_encode(const NdArray<double>& array, StageTimes*) const {
+  const WallTimer timer;
+  Bytes out = truncation_compress(array, keep_, level_);
+  WCK_HISTOGRAM_RECORD("stage.truncation.seconds", timer.seconds());
   return out;
 }
 

@@ -17,9 +17,11 @@
 #include "core/compressor.hpp"
 #include "ndarray/ndarray.hpp"
 #include "util/bytes.hpp"
-#include "util/timer.hpp"
 
 namespace wck {
+
+// Never defined; the parameter leaves with bench/e2e's TimedCodec (ROADMAP item 1).
+class StageTimes;
 
 class Codec {
  public:
@@ -31,8 +33,8 @@ class Codec {
   /// True if decode(encode(x)) may differ from x.
   [[nodiscard]] virtual bool lossy() const = 0;
 
-  /// Serializes one array. If `times` is non-null, stage timings are
-  /// accumulated into it (stage names as in CompressedArray::times).
+  /// Serializes one array. Stage times go to the "stage.<name>.seconds"
+  /// telemetry histograms.
   [[nodiscard]] Bytes encode(const NdArray<double>& array, StageTimes* times = nullptr) const {
     return do_encode(array, times);
   }

@@ -4,15 +4,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <fstream>
 #include <string>
 
 #include "deflate/deflate.hpp"
 #include "deflate/huffman_only.hpp"
 #include "deflate/parallel.hpp"
+#include "io/io_backend.hpp"
 #include "simd/dispatch.hpp"
 #include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
+#include "util/timer.hpp"
 #include "wavelet/haar.hpp"
 
 namespace wck {
@@ -23,28 +24,6 @@ constexpr std::uint8_t kTagZlib = 1;  ///< decode only
 constexpr std::uint8_t kTagGzip = 2;  ///< decode only
 constexpr std::uint8_t kTagHuffman = 3;
 constexpr std::uint8_t kTagSharded = 4;  ///< WCKP segmented deflate container
-
-/// Writes `data` to `path`; throws IoError on failure.
-void write_file(const std::filesystem::path& path, std::span<const std::byte> data) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) throw IoError("cannot open " + path.string() + " for writing");
-  f.write(reinterpret_cast<const char*>(data.data()),
-          static_cast<std::streamsize>(data.size()));
-  f.flush();
-  if (!f) throw IoError("write failed for " + path.string());
-}
-
-/// Reads a whole file; throws IoError on failure.
-Bytes read_file(const std::filesystem::path& path) {
-  std::ifstream f(path, std::ios::binary | std::ios::ate);
-  if (!f) throw IoError("cannot open " + path.string() + " for reading");
-  const std::streamsize size = f.tellg();
-  f.seekg(0);
-  Bytes data(static_cast<std::size_t>(size));
-  f.read(reinterpret_cast<char*>(data.data()), size);
-  if (!f) throw IoError("read failed for " + path.string());
-  return data;
-}
 
 std::filesystem::path unique_temp_path(const std::filesystem::path& dir,
                                        const std::string& suffix) {
@@ -108,22 +87,21 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
   // --- "other": working copy of the input (the transform is in-place).
   NdArray<double> work;
   {
-    ScopedStage stage(out.times, "other");
+    const WallTimer copy_timer;
     work = input;
+    WCK_HISTOGRAM_RECORD("stage.other.seconds", copy_timer.seconds());
   }
 
   // --- Stage 1: wavelet transformation.
   const WaveletPlan plan = WaveletPlan::create(input.shape(), params_.wavelet_levels);
   {
     WCK_TRACE_SPAN("wavelet");
-    ScopedStage stage(out.times, "wavelet");
+    const WallTimer wavelet_timer;
     wavelet_forward(work.view(), params_.wavelet, params_.wavelet_levels);
+    WCK_HISTOGRAM_RECORD("stage.wavelet.seconds", wavelet_timer.seconds());
   }
 
-  // --- Stages 2-4: quantization, encoding, formatting. The legacy
-  // "quantize_encode" StageTimes bucket (Fig. 9's granularity) is kept;
-  // telemetry additionally resolves the paper's separate quantize /
-  // encode stages.
+  // --- Stages 2-4: quantization, then encoding and formatting.
   Bytes payload_bytes;
   std::vector<std::size_t> stream_ends;
   // Hoisted past the stage scope so an attached observer can inspect
@@ -131,8 +109,6 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
   std::vector<double> high;
   QuantizationScheme scheme;
   {
-    ScopedStage stage(out.times, "quantize_encode");
-
     LossyPayload p;
     {
       WCK_TRACE_SPAN("quantize");
@@ -189,10 +165,9 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
   // outside every timed stage.
   if (observer_ != nullptr) observer_->on_compress(input, plan, high, scheme);
 
-  // --- Stage 5: entropy coding of the formatted stream. The legacy
-  // "gzip" StageTimes slot is kept for Fig. 9; telemetry records the
-  // same interval as the paper's "deflate" stage. Both deflate modes
-  // write the segmented WCKP container, cut at the payload's streams.
+  // --- Stage 5: entropy coding of the formatted stream (the paper's
+  // gzip stage). Both deflate modes write the segmented WCKP container,
+  // cut at the payload's streams.
   const ShardedDeflateOptions container{params_.deflate_level, params_.deflate_block_size,
                                         resolve_deflate_sharding(params_.threads)};
   switch (params_.entropy) {
@@ -205,7 +180,6 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
       Bytes body;
       {
         WCK_TRACE_SPAN("deflate");
-        ScopedStage stage(out.times, "gzip");
         const WallTimer deflate_timer;
         body = sharded_deflate_compress(payload_bytes, container, stream_ends);
         WCK_HISTOGRAM_RECORD("stage.deflate.seconds", deflate_timer.seconds());
@@ -218,7 +192,6 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
       Bytes body;
       {
         WCK_TRACE_SPAN("deflate");
-        ScopedStage stage(out.times, "gzip");  // reported in the same slot
         const WallTimer deflate_timer;
         body = huffman_only_compress(payload_bytes);
         WCK_HISTOGRAM_RECORD("stage.deflate.seconds", deflate_timer.seconds());
@@ -231,27 +204,30 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
       // Reproduces the paper's implementation: the formatted checkpoint
       // is written to a temporary file, then gzip is applied through the
       // file system (Sec. IV-D notes this dominates compression time).
+      // Scratch files go straight to POSIX: a WCK_FAULT_PLAN aimed at
+      // checkpoint I/O never reaches them.
+      PosixBackend& io = posix_backend();
       const auto tmp = unique_temp_path(params_.temp_dir, ".wck");
       const auto tmp_gz = unique_temp_path(params_.temp_dir, ".wck.gz");
       {
         WCK_TRACE_SPAN("temp_file_write");
-        ScopedStage stage(out.times, "temp_file_write");
-        write_file(tmp, payload_bytes);
+        const WallTimer write_timer;
+        io.write_file(tmp, payload_bytes);
+        WCK_HISTOGRAM_RECORD("stage.temp_file_write.seconds", write_timer.seconds());
       }
       // The write / read-back overhead is the point of this mode; the
       // compressed body is the same WCKP container kDeflate writes.
       Bytes body;
       {
         WCK_TRACE_SPAN("deflate");
-        ScopedStage stage(out.times, "gzip");
         const WallTimer deflate_timer;
-        const Bytes on_disk = read_file(tmp);
+        const Bytes on_disk = io.read_file(tmp);
         if (on_disk.size() != payload_bytes.size()) {
           throw IoError("read back a different size from " + tmp.string());
         }
         body = sharded_deflate_compress(on_disk, container, stream_ends);
-        write_file(tmp_gz, body);
-        body = read_file(tmp_gz);
+        io.write_file(tmp_gz, body);
+        body = io.read_file(tmp_gz);
         WCK_HISTOGRAM_RECORD("stage.deflate.seconds", deflate_timer.seconds());
       }
       std::error_code ec;

@@ -7,8 +7,10 @@
 //   4. Output formatting w/ bitmap        (src/encode, Sec. III-D)
 //   5. gzip/deflate of the formatted data (src/deflate)
 //
-// Every stage is timed individually so benchmarks can reproduce the
-// paper's Fig. 9 cost breakdown (wavelet / quantization+encoding /
+// Every stage is timed once, into its "stage.<name>.seconds" telemetry
+// histogram: other (the working copy), wavelet, quantize, encode,
+// temp_file_write and deflate. Benchmarks sum them into the paper's
+// Fig. 9 cost breakdown (wavelet / quantization+encoding /
 // temporary-file write / gzip / other).
 #pragma once
 
@@ -22,7 +24,6 @@
 #include "quantize/quantizer.hpp"
 #include "stats/error_metrics.hpp"
 #include "util/bytes.hpp"
-#include "util/timer.hpp"
 #include "wavelet/transform.hpp"
 
 namespace wck {
@@ -71,8 +72,6 @@ struct CompressedArray {
   std::size_t payload_bytes = 0;   ///< formatted size before entropy stage
   std::size_t high_count = 0;      ///< high-band elements
   std::size_t quantized_count = 0; ///< of which quantized to indexes
-  StageTimes times;                ///< "wavelet", "quantize_encode",
-                                   ///< "temp_file_write", "gzip", "other"
 
   /// Eq. 5 (percent; lower is better).
   [[nodiscard]] double compression_rate_percent() const noexcept {

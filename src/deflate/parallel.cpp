@@ -286,7 +286,7 @@ Bytes sharded_deflate_compress(std::span<const std::byte> input,
       s.mode = kModeStored;
       s.coded_size = segment.size();
     }
-    if (timed) WCK_HISTOGRAM_RECORD("stage.deflate.block.seconds", seconds_since(start));
+    if (timed) WCK_HISTOGRAM_RECORD("deflate.segment.seconds", seconds_since(start));
   });
 
   ByteWriter writer;
@@ -376,7 +376,7 @@ Bytes sharded_deflate_decompress(std::span<const std::byte> input, std::size_t t
     if (crc32(std::span<const std::byte>(dst, s.raw_size)) != s.crc) {
       throw CorruptDataError("WCKP: CRC-32 mismatch in segment " + std::to_string(i));
     }
-    if (timed) WCK_HISTOGRAM_RECORD("stage.deflate.block.seconds", seconds_since(start));
+    if (timed) WCK_HISTOGRAM_RECORD("deflate.segment.seconds", seconds_since(start));
   });
   return out;
 }

@@ -5,12 +5,10 @@
 namespace wck {
 
 CheckpointCostModel::CheckpointCostModel(double bytes_per_process, double compression_rate,
-                                         StageTimes per_process_compression,
-                                         StorageModel storage)
+                                         double compression_seconds, StorageModel storage)
     : bytes_per_process_(bytes_per_process),
       compression_rate_(compression_rate),
-      stages_(std::move(per_process_compression)),
-      compression_time_(stages_.total()),
+      compression_time_(compression_seconds),
       storage_(storage) {
   if (bytes_per_process <= 0.0) {
     throw InvalidArgumentError("cost model: bytes_per_process must be positive");
@@ -59,9 +57,8 @@ std::vector<CheckpointCostModel::Row> CheckpointCostModel::sweep(
     row.parallelism = p;
     row.with_compression_s = time_with_compression(p);
     row.without_compression_s = time_without_compression(p);
-    row.stage_breakdown = stages_;
     row.io_s = row.with_compression_s - compression_time_;
-    rows.push_back(std::move(row));
+    rows.push_back(row);
   }
   return rows;
 }

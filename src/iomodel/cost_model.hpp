@@ -1,7 +1,7 @@
 // Checkpoint cost modeling (paper Sec. II-A Eq. 1 and Sec. IV-D Fig. 9).
 //
 // The paper estimates checkpoint time at scale by combining measured
-// per-process compression stage times with a modeled parallel-filesystem
+// per-process compression time with a modeled parallel-filesystem
 // write:   t_io(P) = latency + per_process_bytes * cr * P / bandwidth.
 // Compression runs embarrassingly parallel per process, so its time is
 // independent of P; I/O is shared, so its time grows linearly in P. The
@@ -14,8 +14,6 @@
 #include <optional>
 #include <string>
 #include <vector>
-
-#include "util/timer.hpp"
 
 namespace wck {
 
@@ -35,9 +33,9 @@ class CheckpointCostModel {
  public:
   /// `bytes_per_process`: checkpoint size per process (paper: 1.5 MB).
   /// `compression_rate`: compressed/original as a fraction (paper: 0.19).
-  /// `per_process_compression`: measured stage times for one process.
+  /// `compression_seconds`: measured compression time of one process.
   CheckpointCostModel(double bytes_per_process, double compression_rate,
-                      StageTimes per_process_compression, StorageModel storage);
+                      double compression_seconds, StorageModel storage);
 
   /// Total checkpoint time with compression at parallelism P (Fig. 9's
   /// "Checkpoint time (w/ compression)" line).
@@ -62,7 +60,6 @@ class CheckpointCostModel {
   [[nodiscard]] double reduction_at(std::size_t parallelism) const noexcept;
 
   [[nodiscard]] double compression_time() const noexcept { return compression_time_; }
-  [[nodiscard]] const StageTimes& stage_times() const noexcept { return stages_; }
   [[nodiscard]] double compression_rate() const noexcept { return compression_rate_; }
   [[nodiscard]] double bytes_per_process() const noexcept { return bytes_per_process_; }
   [[nodiscard]] const StorageModel& storage() const noexcept { return storage_; }
@@ -72,8 +69,7 @@ class CheckpointCostModel {
     std::size_t parallelism;
     double with_compression_s;
     double without_compression_s;
-    StageTimes stage_breakdown;  ///< compression stages (P-independent)
-    double io_s;                 ///< modeled I/O share of with-compression
+    double io_s;  ///< modeled I/O share of with-compression
   };
   /// Sweeps parallelism values and returns the Fig. 9 series.
   [[nodiscard]] std::vector<Row> sweep(const std::vector<std::size_t>& parallelisms) const;
@@ -81,7 +77,6 @@ class CheckpointCostModel {
  private:
   double bytes_per_process_;
   double compression_rate_;
-  StageTimes stages_;
   double compression_time_;
   StorageModel storage_;
 };

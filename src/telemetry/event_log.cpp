@@ -1,10 +1,9 @@
 #include "telemetry/event_log.hpp"
 
 #include <algorithm>
-#include <fstream>
-#include <stdexcept>
 
 #include "telemetry/json.hpp"
+#include "telemetry/run_report.hpp"
 
 namespace wck::telemetry {
 
@@ -148,12 +147,7 @@ std::string EventLog::to_jsonl_for(std::initializer_list<EventKind> kinds,
 }
 
 void EventLog::dump_to_file(const std::string& path, std::size_t max_events) const {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) throw std::runtime_error("event log: cannot open " + path + " for writing");
-  const std::string text = to_jsonl(max_events);
-  f.write(text.data(), static_cast<std::streamsize>(text.size()));
-  f.flush();
-  if (!f) throw std::runtime_error("event log: write failed for " + path);
+  write_text_file(path, to_jsonl(max_events));
 }
 
 EventLog& EventLog::global() {

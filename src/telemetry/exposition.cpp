@@ -1,10 +1,11 @@
 #include "telemetry/exposition.hpp"
 
 #include <cmath>
-#include <fstream>
+#include <stdexcept>
 
 #include "telemetry/event_log.hpp"
 #include "telemetry/json.hpp"
+#include "telemetry/run_report.hpp"
 
 namespace wck::telemetry {
 namespace {
@@ -29,11 +30,12 @@ void append_sample(std::string& out, const std::string& name, double value) {
 }
 
 bool write_file_best_effort(const std::filesystem::path& path, const std::string& text) {
-  std::ofstream f(path, std::ios::binary | std::ios::trunc);
-  if (!f) return false;
-  f.write(text.data(), static_cast<std::streamsize>(text.size()));
-  f.flush();
-  return static_cast<bool>(f);
+  try {
+    write_text_file(path.string(), text);
+    return true;
+  } catch (const std::runtime_error&) {
+    return false;
+  }
 }
 
 }  // namespace

@@ -65,7 +65,7 @@ void RunReport::capture_global() {
   span_count = Tracer::global().span_count();
   for (const auto& [name, h] : metrics.histograms) {
     const std::string stage = stage_name_of(name);
-    if (!stage.empty()) stages_seconds[stage] = h.sum;
+    if (!stage.empty() && h.count > 0) stages_seconds[stage] = h.sum;
   }
 }
 

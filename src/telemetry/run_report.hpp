@@ -56,7 +56,7 @@ struct RunReport {
 
   /// Fills stages_seconds / metrics / span_count from the global
   /// registry and tracer. Stage durations are the sums of every
-  /// "stage.<name>.seconds" histogram.
+  /// "stage.<name>.seconds" histogram that holds a sample.
   void capture_global();
 
   [[nodiscard]] Json to_json() const;

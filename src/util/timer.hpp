@@ -1,19 +1,11 @@
-// Wall-clock timing utilities used by the benchmark harnesses and by the
-// compression pipeline's per-stage instrumentation (paper Fig. 9 reports
-// a stage-by-stage breakdown of compression time).
-//
-// StageTimes is a thin adapter over the telemetry subsystem: every
-// add() also records into the global "stage.<name>.seconds" histogram,
-// so RunReport / BENCH_*.json see the same per-stage numbers without
-// any bench-side plumbing. The local map is kept so existing call sites
-// (cost model, fig harnesses) need no signature changes.
+// Wall-clock stopwatch used by the benchmark harnesses and by the
+// compression pipeline's per-stage instrumentation: each codec stage
+// times itself with a WallTimer and records the interval into its
+// "stage.<name>.seconds" telemetry histogram (paper Fig. 9 reports a
+// stage-by-stage breakdown of compression time).
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <string>
-
-#include "telemetry/metrics.hpp"
 
 namespace wck {
 
@@ -32,67 +24,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates named stage durations, e.g. {"wavelet": 1.2e-3, ...}.
-class StageTimes {
- public:
-  void add(const std::string& stage, double seconds) {
-    seconds_[stage] += seconds;
-    if (telemetry::enabled()) {
-      telemetry::MetricsRegistry::global()
-          .histogram("stage." + stage + ".seconds")
-          .record(seconds);
-    }
-  }
-
-  /// Accumulates without recording into telemetry — for derived values
-  /// (averages, model outputs) that are not fresh measurements and must
-  /// not contaminate the stage histograms.
-  void add_local(const std::string& stage, double seconds) { seconds_[stage] += seconds; }
-
-  [[nodiscard]] double get(const std::string& stage) const noexcept {
-    const auto it = seconds_.find(stage);
-    return it == seconds_.end() ? 0.0 : it->second;
-  }
-
-  [[nodiscard]] double total() const noexcept {
-    double t = 0.0;
-    for (const auto& [_, s] : seconds_) t += s;
-    return t;
-  }
-
-  [[nodiscard]] const std::map<std::string, double>& by_stage() const noexcept {
-    return seconds_;
-  }
-
-  /// Merges another accumulation into this one. Merging does not
-  /// re-record into telemetry: the source StageTimes already did when
-  /// its entries were add()ed.
-  void merge(const StageTimes& other) {
-    for (const auto& [k, v] : other.by_stage()) seconds_[k] += v;
-  }
-
-  void clear() noexcept { seconds_.clear(); }
-
- private:
-  std::map<std::string, double> seconds_;
-};
-
-/// RAII helper: measures a scope and adds it to a StageTimes entry.
-class ScopedStage {
- public:
-  ScopedStage(StageTimes& times, std::string stage)
-      : times_(times), stage_(std::move(stage)) {}
-  ~ScopedStage() { times_.add(stage_, timer_.seconds()); }
-
-  ScopedStage(const ScopedStage&) = delete;
-  ScopedStage& operator=(const ScopedStage&) = delete;
-
- private:
-  StageTimes& times_;
-  std::string stage_;
-  WallTimer timer_;
 };
 
 }  // namespace wck

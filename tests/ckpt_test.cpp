@@ -4,6 +4,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
@@ -12,6 +15,7 @@
 #include "io/io_backend.hpp"
 #include "legacy_writers.hpp"
 #include "stats/error_metrics.hpp"
+#include "telemetry/telemetry.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -78,13 +82,41 @@ TEST(Codecs, LossyCodecRoundTripsWithSmallError) {
   EXPECT_LT(data.size(), field.size_bytes() / 2);
 }
 
-TEST(Codecs, StageTimesAccumulated) {
+TEST(Codecs, EachCodecTimesItsStagesOnce) {
+  // Every codec records one sample per stage it runs into the
+  // "stage.<name>.seconds" histograms; the related-work codecs have one
+  // stage named after themselves.
+  telemetry::set_enabled(true);
+  auto& registry = telemetry::MetricsRegistry::global();
   const auto field = make_temperature_field(Shape{64, 32, 4}, 5);
-  const WaveletLossyCodec codec;
-  StageTimes times;
-  (void)codec.encode(field, &times);
-  EXPECT_GT(times.get("wavelet"), 0.0);
-  EXPECT_GT(times.get("quantize_encode"), 0.0);
+  const NullCodec null_codec;
+  const GzipCodec gzip;
+  const WaveletLossyCodec lossy;
+  const FpcCodec fpc;
+  const SzLikeCodec szlike;
+  const ZfpLikeCodec zfplike;
+  const TruncationCodec truncation;
+  const std::pair<const Codec*, std::vector<std::string>> cases[] = {
+      {&null_codec, {"other"}},
+      {&gzip, {"gzip", "other"}},
+      {&lossy, {"deflate", "encode", "other", "quantize", "wavelet"}},
+      {&fpc, {"fpc"}},
+      {&szlike, {"szlike"}},
+      {&zfplike, {"zfplike"}},
+      {&truncation, {"truncation"}},
+  };
+  for (const auto& [codec, stages] : cases) {
+    SCOPED_TRACE(codec->name());
+    registry.reset();
+    (void)codec->encode(field);
+    std::map<std::string, std::uint64_t> samples;
+    for (const auto& [name, h] : registry.snapshot().histograms) {
+      if (name.rfind("stage.", 0) == 0 && h.count > 0) samples[name] = h.count;
+    }
+    std::map<std::string, std::uint64_t> expected;
+    for (const std::string& stage : stages) expected["stage." + stage + ".seconds"] = 1;
+    EXPECT_EQ(samples, expected);
+  }
 }
 
 TEST(Codecs, DecoderRegistryResolvesNames) {

@@ -11,13 +11,7 @@ namespace {
 
 /// The paper's Fig. 9 setting: 1.5 MB per process, cr = 19 %, 20 GB/s.
 CheckpointCostModel paper_model(double compression_seconds) {
-  StageTimes stages;
-  stages.add("wavelet", compression_seconds * 0.1);
-  stages.add("quantize_encode", compression_seconds * 0.15);
-  stages.add("temp_file_write", compression_seconds * 0.25);
-  stages.add("gzip", compression_seconds * 0.45);
-  stages.add("other", compression_seconds * 0.05);
-  return CheckpointCostModel(1.5e6, 0.19, stages, StorageModel{20e9, 0.0});
+  return CheckpointCostModel(1.5e6, 0.19, compression_seconds, StorageModel{20e9, 0.0});
 }
 
 TEST(StorageModel, WriteTimeLinearInBytes) {
@@ -98,7 +92,7 @@ TEST(CostModel, SweepRowsConsistent) {
   for (const auto& row : rows) {
     EXPECT_NEAR(row.with_compression_s, m.time_with_compression(row.parallelism), 1e-12);
     EXPECT_NEAR(row.without_compression_s, m.time_without_compression(row.parallelism), 1e-12);
-    EXPECT_NEAR(row.stage_breakdown.total() + row.io_s, row.with_compression_s, 1e-12);
+    EXPECT_NEAR(m.compression_time() + row.io_s, row.with_compression_s, 1e-12);
   }
   // Monotone in P.
   for (std::size_t i = 1; i < rows.size(); ++i) {
@@ -108,26 +102,21 @@ TEST(CostModel, SweepRowsConsistent) {
 }
 
 TEST(CostModel, NoCrosspointWhenCompressionDoesNotShrink) {
-  StageTimes stages;
-  stages.add("gzip", 0.01);
-  const CheckpointCostModel m(1.5e6, 1.0, stages, StorageModel{20e9, 0.0});
+  const CheckpointCostModel m(1.5e6, 1.0, 0.01, StorageModel{20e9, 0.0});
   EXPECT_FALSE(m.crosspoint().has_value());
   EXPECT_FALSE(m.compression_viable(1 << 20));
 }
 
 TEST(CostModel, InvalidArgumentsRejected) {
-  StageTimes stages;
-  EXPECT_THROW(CheckpointCostModel(0.0, 0.2, stages, StorageModel{}), InvalidArgumentError);
-  EXPECT_THROW(CheckpointCostModel(1e6, -0.1, stages, StorageModel{}), InvalidArgumentError);
-  EXPECT_THROW(CheckpointCostModel(1e6, 0.2, stages, StorageModel{0.0, 0.0}),
+  EXPECT_THROW(CheckpointCostModel(0.0, 0.2, 0.0, StorageModel{}), InvalidArgumentError);
+  EXPECT_THROW(CheckpointCostModel(1e6, -0.1, 0.0, StorageModel{}), InvalidArgumentError);
+  EXPECT_THROW(CheckpointCostModel(1e6, 0.2, 0.0, StorageModel{0.0, 0.0}),
                InvalidArgumentError);
 }
 
 TEST(CostModel, LatencyShiftsBothCurves) {
-  StageTimes stages;
-  stages.add("gzip", 0.01);
-  const CheckpointCostModel no_lat(1.5e6, 0.2, stages, StorageModel{20e9, 0.0});
-  const CheckpointCostModel lat(1.5e6, 0.2, stages, StorageModel{20e9, 0.5});
+  const CheckpointCostModel no_lat(1.5e6, 0.2, 0.01, StorageModel{20e9, 0.0});
+  const CheckpointCostModel lat(1.5e6, 0.2, 0.01, StorageModel{20e9, 0.5});
   EXPECT_NEAR(lat.time_without_compression(100) - no_lat.time_without_compression(100), 0.5,
               1e-12);
   EXPECT_NEAR(lat.time_with_compression(100) - no_lat.time_with_compression(100), 0.5, 1e-12);

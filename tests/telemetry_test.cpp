@@ -253,6 +253,7 @@ TEST_F(TelemetryTest, CaptureGlobalExtractsStageHistograms) {
   auto& reg = MetricsRegistry::global();
   reg.histogram("stage.wavelet.seconds").record(2e-3);
   reg.histogram("stage.wavelet.seconds").record(4e-3);
+  reg.histogram("stage.idle.seconds");  // registered, never recorded
   reg.counter("compress.calls").add(2);
   {
     WCK_TRACE_SPAN("compress");
@@ -260,6 +261,7 @@ TEST_F(TelemetryTest, CaptureGlobalExtractsStageHistograms) {
   RunReport report;
   report.capture_global();
   EXPECT_DOUBLE_EQ(report.stages_seconds.at("wavelet"), 6e-3);
+  EXPECT_EQ(report.stages_seconds.count("idle"), 0u);
   EXPECT_EQ(report.metrics.counters.at("compress.calls"), 2u);
   EXPECT_GE(report.span_count, 1u);
 }

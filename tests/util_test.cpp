@@ -435,31 +435,6 @@ TEST(Rng, BoundedStaysInRange) {
   EXPECT_EQ(rng.bounded(0), 0u);
 }
 
-TEST(StageTimes, AccumulatesAndMerges) {
-  StageTimes t;
-  t.add("wavelet", 1.0);
-  t.add("wavelet", 0.5);
-  t.add("gzip", 2.0);
-  EXPECT_DOUBLE_EQ(t.get("wavelet"), 1.5);
-  EXPECT_DOUBLE_EQ(t.get("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(t.total(), 3.5);
-
-  StageTimes u;
-  u.add("gzip", 1.0);
-  t.merge(u);
-  EXPECT_DOUBLE_EQ(t.get("gzip"), 3.0);
-}
-
-TEST(ScopedStageTimer, MeasuresScope) {
-  StageTimes t;
-  {
-    ScopedStage s(t, "work");
-    volatile double x = 0;
-    for (int i = 0; i < 100000; ++i) x = x + 1.0;
-  }
-  EXPECT_GT(t.get("work"), 0.0);
-}
-
 TEST(Backoff, LadderDoublesAndCaps) {
   BackoffPolicy policy;
   policy.max_attempts = 100;  // the ladder, not the budget, under test

@@ -12,7 +12,9 @@ parameters:
   stage times (loose, default 10x): each stages_seconds entry must not
       exceed baseline * multiplier. CI machines vary wildly, so this only
       catches order-of-magnitude blowups (an accidentally quadratic
-      stage), not honest noise.
+      stage), not honest noise. A baseline stage missing from the fresh
+      record is a violation: a renamed or dropped stage must come with a
+      refreshed baseline, never slip out of the gate.
 
 Records match by their "bench" field; a fresh record whose bench name is
 missing from the baseline set is an error (the gate must never silently
@@ -137,6 +139,10 @@ class Gate:
         for stage, base_time in base_stages.items():
             if stage in fresh_stages:
                 self.check_time(name, stage, fresh_stages[stage], base_time)
+            else:
+                self.checks += 1
+                self.fail(f"{name}: stage '{stage}' is in the baseline but missing "
+                          "from the fresh record")
 
     def check_sharded_drift(self, name, record):
         """Self-baselining check for records carrying serial/sharded sizes.
