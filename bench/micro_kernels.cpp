@@ -11,10 +11,9 @@
 //
 // Emits a wck-bench-record (--bench-json[=PATH]) with per-level gauges
 // (kernel.<name>.<level>.mbps) and per-kernel dispatched-over-scalar
-// speedups in report.params (speedup_<name>). check_bench_regress.py treats a
-// record carrying simd_best_level as self-baselining: on vector-capable
-// hardware at least --simd-min-kernels kernels must clear
-// --simd-speedup (default 2 kernels at >= 1.5x).
+// speedups in report.params (speedup_<name>). tools/check_bench.py treats
+// a record carrying simd_best_level as self-baselining: on vector-capable
+// hardware at least 2 kernels must reach 1.5x over scalar.
 #include <chrono>
 #include <cstdio>
 #include <cstring>

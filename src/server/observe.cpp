@@ -1,10 +1,10 @@
 #include "server/observe.hpp"
 
-#include <cstdio>
 #include <string>
 #include <variant>
 
 #include "telemetry/event_log.hpp"
+#include "telemetry/json.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace wck::server {
@@ -132,31 +132,31 @@ void ServerRpcScope::finish(std::size_t reply_bytes, bool error_reply) noexcept 
   const double ms = dur_us / 1e3;
   if (slow_request_ms_ >= 0 && ms >= static_cast<double>(slow_request_ms_)) {
     try {
-      char ms_buf[32];
-      std::snprintf(ms_buf, sizeof ms_buf, "%.3f", ms);
-      // The detail is itself a JSON object, string-encoded inside the
-      // event line; consumers json-parse the "detail" field again.
-      std::string detail = "{\"tenant\":\"";
-      detail += tenant_;
-      detail += "\",\"type\":\"";
-      detail += type_name_;
-      detail += "\",\"trace_id\":\"";
-      detail += telemetry::trace_id_hex(ctx_.trace_id);
-      detail += "\",\"ms\":";
-      detail += ms_buf;
-      detail += ",\"req_bytes\":";
-      detail += std::to_string(request_bytes_);
-      detail += ",\"resp_bytes\":";
-      detail += std::to_string(reply_bytes);
-      detail += ",\"error\":";
-      detail += error_reply ? "true" : "false";
-      detail += "}";
-      WCK_EVENT(kServerSlowRequest, step_, std::move(detail));
+      WCK_EVENT(kServerSlowRequest, step_,
+                slow_request_detail(tenant_, type_name_, ctx_.trace_id, ms, request_bytes_,
+                                    reply_bytes, error_reply));
     } catch (...) {
       // Slow-request logging is best-effort; an OOM here must not turn
       // a served RPC into a crashed connection.
     }
   }
+}
+
+std::string slow_request_detail(std::string_view tenant, const char* type,
+                                std::uint64_t trace_id, double ms, std::size_t req_bytes,
+                                std::size_t resp_bytes, bool error,
+                                std::optional<std::uint64_t> retries) {
+  // The detail is itself a JSON object, string-encoded inside the event
+  // line; consumers json-parse the "detail" field again.
+  telemetry::Json::Object d{{"tenant", std::string(tenant)},
+                            {"type", type},
+                            {"trace_id", telemetry::trace_id_hex(trace_id)},
+                            {"ms", ms},
+                            {"req_bytes", static_cast<double>(req_bytes)},
+                            {"resp_bytes", static_cast<double>(resp_bytes)},
+                            {"error", error}};
+  if (retries) d["retries"] = *retries;
+  return telemetry::Json(std::move(d)).dump();
 }
 
 void add_tenant_counter(std::string_view tenant, const char* what, std::uint64_t delta) {

@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "net/protocol.hpp"
@@ -60,6 +61,15 @@ class ServerRpcScope {
   bool finished_ = false;
   std::optional<telemetry::TraceSpan> span_;
 };
+
+/// The detail of a server.slow_request / client.slow_request event: one
+/// JSON object with tenant, type, trace_id (16-digit hex), ms,
+/// req_bytes, resp_bytes and error, plus retries on the client side.
+[[nodiscard]] std::string slow_request_detail(std::string_view tenant, const char* type,
+                                              std::uint64_t trace_id, double ms,
+                                              std::size_t req_bytes, std::size_t resp_bytes,
+                                              bool error,
+                                              std::optional<std::uint64_t> retries = {});
 
 /// Adds to "server.tenant.<tenant>.<what>" — the per-tenant counter
 /// family (puts, gets, rejects, dedup_replays). The name is built

@@ -87,8 +87,21 @@ void Tracer::record(std::string name, double start_us, double dur_us, std::uint3
   record(std::move(name), start_us, dur_us, depth, TraceContext{});
 }
 
+bool Tracer::reserve_slot() noexcept {
+  std::size_t held = held_.load(std::memory_order_relaxed);
+  do {
+    if (held >= capacity_) {
+      dropped_.fetch_add(1, std::memory_order_relaxed);
+      WCK_COUNTER_ADD("trace.spans.dropped", 1);
+      return false;
+    }
+  } while (!held_.compare_exchange_weak(held, held + 1, std::memory_order_relaxed));
+  return true;
+}
+
 void Tracer::record(std::string name, double start_us, double dur_us, std::uint32_t depth,
                     const TraceContext& ctx) {
+  if (!reserve_slot()) return;
   ThreadStream& s = stream_for_this_thread();
   MutexLock lk(s.mu);
   s.spans.push_back(SpanRecord{std::move(name), start_us, dur_us, depth, s.tid, ctx.trace_id,
@@ -124,20 +137,6 @@ std::vector<SpanRecord> Tracer::snapshot() const {
   return out;
 }
 
-std::size_t Tracer::span_count() const {
-  std::vector<std::shared_ptr<ThreadStream>> streams;
-  {
-    MutexLock lk(mu_);
-    streams = streams_;
-  }
-  std::size_t n = 0;
-  for (const auto& s : streams) {
-    MutexLock lk(s->mu);
-    n += s->spans.size();
-  }
-  return n;
-}
-
 void Tracer::clear() {
   std::vector<std::shared_ptr<ThreadStream>> streams;
   {
@@ -148,6 +147,8 @@ void Tracer::clear() {
     MutexLock lk(s->mu);
     s->spans.clear();
   }
+  held_.store(0, std::memory_order_relaxed);
+  dropped_.store(0, std::memory_order_relaxed);
 }
 
 std::string Tracer::chrome_trace_json() const {

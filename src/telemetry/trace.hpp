@@ -8,8 +8,15 @@
 // locks each stream briefly. Nesting depth is tracked per thread, so
 // spans opened inside other spans carry their depth for flame-style
 // rendering.
+//
+// A tracer holds at most `capacity` spans (2^22, ~350 MB of records,
+// for the global one). Past that, spans are counted in dropped() and
+// in the trace.spans.dropped counter instead of stored, so a
+// long-running server with telemetry on stops growing; clear() empties
+// the streams and restores the capacity.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -68,14 +75,17 @@ struct SpanRecord {
 
 class Tracer {
  public:
-  Tracer() = default;
+  static constexpr std::size_t kDefaultCapacity = std::size_t{1} << 22;
+
+  explicit Tracer(std::size_t capacity = kDefaultCapacity) : capacity_(capacity) {}
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
   /// Microseconds since this tracer's epoch (steady clock).
   [[nodiscard]] double now_us() const noexcept;
 
-  /// Appends a completed span to the calling thread's stream.
+  /// Appends a completed span to the calling thread's stream, or
+  /// counts it as dropped when the tracer already holds `capacity`.
   void record(std::string name, double start_us, double dur_us, std::uint32_t depth);
 
   /// Same, with an explicit distributed-trace identity on the span.
@@ -90,10 +100,20 @@ class Tracer {
   /// All spans from all threads, ordered by (tid, start).
   [[nodiscard]] std::vector<SpanRecord> snapshot() const;
 
-  /// Total spans recorded so far.
-  [[nodiscard]] std::size_t span_count() const;
+  /// Spans held now (at most capacity()).
+  [[nodiscard]] std::size_t span_count() const noexcept {
+    return held_.load(std::memory_order_relaxed);
+  }
 
-  /// Drops all recorded spans (streams stay registered).
+  /// Spans refused since the last clear() because the tracer was full.
+  [[nodiscard]] std::uint64_t dropped() const noexcept {
+    return dropped_.load(std::memory_order_relaxed);
+  }
+
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+
+  /// Drops all recorded spans and the dropped count (streams stay
+  /// registered).
   void clear();
 
   /// Chrome trace-event JSON ("X" complete events, one row per thread).
@@ -105,8 +125,14 @@ class Tracer {
   struct ThreadStream;
   ThreadStream& stream_for_this_thread();
 
+  /// Claims one of the capacity_ slots; false when the tracer is full.
+  bool reserve_slot() noexcept;
+
   mutable Mutex mu_;
   std::vector<std::shared_ptr<ThreadStream>> streams_ WCK_GUARDED_BY(mu_);
+  const std::size_t capacity_;
+  std::atomic<std::size_t> held_{0};
+  std::atomic<std::uint64_t> dropped_{0};
   // Set once at construction, immutable after — needs no guard.
   const std::chrono::steady_clock::time_point epoch_ = std::chrono::steady_clock::now();
 };

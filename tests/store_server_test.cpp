@@ -595,6 +595,29 @@ TEST(StoreServer, SlowRequestLogRecordsStructuredDetail) {
   EXPECT_TRUE(client_logged);
 }
 
+TEST(StoreServer, ClientSlowRequestDetailEscapesTheTenant) {
+  telemetry::set_enabled(true);
+  Harness h;
+  StoreClientOptions co;
+  co.slow_request_ms = 0;
+  StoreClient client = StoreClient::connect(h.server.socket_path(), co);
+  // The server refuses the name; the client logs the failed RPC under
+  // the name its caller passed.
+  EXPECT_THROW((void)client.put("a\"b", 1, field_for(1)), InvalidArgumentError);
+
+  bool logged = false;
+  for (const telemetry::Event& e : telemetry::EventLog::global().snapshot()) {
+    if (e.kind != telemetry::EventKind::kClientSlowRequest) continue;
+    const telemetry::Json detail = telemetry::Json::parse(e.detail);
+    if (detail.at("tenant").as_string() != "a\"b") continue;
+    logged = true;
+    EXPECT_EQ(detail.at("type").as_string(), "put");
+    EXPECT_TRUE(detail.at("error").as_bool());
+    EXPECT_EQ(detail.at("retries").as_number(), 0.0);
+  }
+  EXPECT_TRUE(logged);
+}
+
 TEST(StoreServer, GracefulDrainWritesFinalSnapshot) {
   telemetry::set_enabled(true);
   TempDir snap_dir;

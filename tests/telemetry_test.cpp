@@ -202,6 +202,24 @@ TEST_F(TelemetryTest, SpansFromMultipleThreadsKeepDistinctTids) {
   }
 }
 
+TEST_F(TelemetryTest, TracerPastCapacityCountsDroppedSpans) {
+  Tracer tracer(16);
+  for (int i = 0; i < 20; ++i) tracer.record("span." + std::to_string(i), i, 1.0, 0);
+  EXPECT_EQ(tracer.span_count(), 16u);
+  EXPECT_EQ(tracer.dropped(), 4u);
+  const auto spans = tracer.snapshot();
+  ASSERT_EQ(spans.size(), 16u);
+  EXPECT_EQ(spans.front().name, "span.0");
+  EXPECT_EQ(spans.back().name, "span.15");
+  EXPECT_EQ(MetricsRegistry::global().counter("trace.spans.dropped").value(), 4u);
+
+  tracer.clear();
+  EXPECT_EQ(tracer.dropped(), 0u);
+  tracer.record("after.clear", 0.0, 1.0, 0);
+  EXPECT_EQ(tracer.snapshot().size(), 1u);
+  EXPECT_EQ(Tracer::global().capacity(), Tracer::kDefaultCapacity);
+}
+
 TEST_F(TelemetryTest, RunReportJsonRoundTrip) {
   RunReport report;
   report.tool = "telemetry_test";

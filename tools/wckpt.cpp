@@ -52,16 +52,19 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "ckpt/manager.hpp"
@@ -164,19 +167,44 @@ std::string get_or(const std::map<std::string, std::string>& flags, const std::s
   return it == flags.end() ? fallback : it->second;
 }
 
+/// The one checked number reader: `text` must be exactly one T (no
+/// sign on an unsigned T, nothing after the digits) within T's range;
+/// anything else is a usage error (exit 2) naming `what`.
+template <typename T>
+T parse_number(const std::string& text, const std::string& what) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, value);
+  if (text.empty() || ec != std::errc() || stop != end) {
+    const char* want = std::is_floating_point_v<T> ? "a number"
+                       : std::is_signed_v<T>       ? "an integer"
+                                                   : "an unsigned integer";
+    usage(("bad value for " + what + ": '" + text + "' (want " + want + ")").c_str());
+  }
+  return value;
+}
+
+/// Flag `key` read by parse_number, or `fallback` when absent.
+template <typename T>
+T number_or(const std::map<std::string, std::string>& flags, const std::string& key,
+            T fallback) {
+  const auto it = flags.find(key);
+  return it == flags.end() ? fallback : parse_number<T>(it->second, "--" + key);
+}
+
 Shape parse_shape(const std::string& text) {
   std::vector<std::size_t> extents;
   std::size_t pos = 0;
-  while (pos < text.size()) {
+  for (;;) {
     const auto x = text.find('x', pos);
-    const std::string part = text.substr(pos, x == std::string::npos ? x : x - pos);
-    const long v = std::strtol(part.c_str(), nullptr, 10);
-    if (v <= 0) usage(("bad shape component: " + part).c_str());
-    extents.push_back(static_cast<std::size_t>(v));
+    const auto v = parse_number<std::size_t>(
+        text.substr(pos, x == std::string::npos ? x : x - pos), "shape component");
+    if (v == 0) usage(("bad shape: " + text).c_str());
+    extents.push_back(v);
     if (x == std::string::npos) break;
     pos = x + 1;
   }
-  if (extents.empty() || extents.size() > kMaxRank) usage("shape must have rank 1..4");
+  if (extents.size() > kMaxRank) usage("shape must have rank 1..4");
   Shape s = Shape::of_rank(extents.size());
   for (std::size_t a = 0; a < extents.size(); ++a) s[a] = extents[a];
   return s;
@@ -223,11 +251,9 @@ CompressionParams params_from_flags(const std::map<std::string, std::string>& fl
   } else {
     usage(("unknown quantizer: " + q).c_str());
   }
-  p.quantizer.divisions = static_cast<int>(std::strtol(get_or(flags, "n", "128").c_str(), nullptr, 10));
-  p.quantizer.spike_partitions =
-      static_cast<int>(std::strtol(get_or(flags, "d", "64").c_str(), nullptr, 10));
-  p.wavelet_levels =
-      static_cast<int>(std::strtol(get_or(flags, "levels", "1").c_str(), nullptr, 10));
+  p.quantizer.divisions = number_or(flags, "n", 128);
+  p.quantizer.spike_partitions = number_or(flags, "d", 64);
+  p.wavelet_levels = number_or(flags, "levels", 1);
   const std::string e = get_or(flags, "entropy", "deflate");
   if (e == "deflate") {
     p.entropy = EntropyMode::kDeflate;
@@ -241,10 +267,9 @@ CompressionParams params_from_flags(const std::map<std::string, std::string>& fl
   // --threads=N sets the entropy-stage worker count (the default 0
   // defers to WCK_THREADS; the output bytes never depend on it).
   // --block-size caps the WCKP segment length in payload bytes.
-  p.threads = static_cast<int>(std::strtol(get_or(flags, "threads", "0").c_str(), nullptr, 10));
-  const long block_size = std::strtol(get_or(flags, "block-size", "0").c_str(), nullptr, 10);
-  if (block_size < 0) usage("--block-size must be >= 1");
-  if (block_size > 0) p.deflate_block_size = static_cast<std::size_t>(block_size);
+  p.threads = number_or(flags, "threads", 0);
+  const auto block_size = number_or<std::size_t>(flags, "block-size", 0);
+  if (block_size > 0) p.deflate_block_size = block_size;
   return p;
 }
 
@@ -272,8 +297,7 @@ std::unique_ptr<Codec> make_codec(const std::string& name,
   if (name == "wavelet") {
     CompressionParams p;
     p.quantizer.divisions = 128;
-    p.threads =
-        static_cast<int>(std::strtol(get_or(flags, "threads", "0").c_str(), nullptr, 10));
+    p.threads = number_or(flags, "threads", 0);
     return std::make_unique<WaveletLossyCodec>(p);
   }
   if (name == "fpc") return std::make_unique<FpcCodec>();
@@ -334,8 +358,7 @@ void write_observability_files(const std::map<std::string, std::string>& flags) 
 
 int cmd_gen(const std::map<std::string, std::string>& flags) {
   const Shape shape = parse_shape(require(flags, "shape"));
-  const auto seed =
-      static_cast<std::uint64_t>(std::strtoll(get_or(flags, "seed", "2015").c_str(), nullptr, 10));
+  const auto seed = number_or<std::uint64_t>(flags, "seed", 2015);
   const std::string kind = get_or(flags, "kind", "temperature");
   NdArray<double> field;
   if (kind == "temperature") {
@@ -406,6 +429,8 @@ int cmd_info(const std::map<std::string, std::string>& flags) {
 }
 
 int cmd_verify(const std::map<std::string, std::string>& flags) {
+  const auto limit_pct =
+      number_or(flags, "max-mean-rel", std::numeric_limits<double>::infinity());
   const Bytes data = read_file(require(flags, "in"));
   const NdArray<double> restored = WaveletCompressor::decompress(data);
   const NdArray<double> original =
@@ -423,14 +448,10 @@ int cmd_verify(const std::map<std::string, std::string>& flags) {
 
   // Exit code matches the report: with a bound given, exceeding it is a
   // failure (previously the text always reported success via exit 0).
-  const auto bound = flags.find("max-mean-rel");
-  if (bound != flags.end()) {
-    const double limit_pct = std::strtod(bound->second.c_str(), nullptr);
-    if (err.mean_rel_percent() > limit_pct) {
-      std::fprintf(stderr, "wckpt: mean relative error %.6f %% exceeds bound %.6f %%\n",
-                   err.mean_rel_percent(), limit_pct);
-      return 1;
-    }
+  if (err.mean_rel_percent() > limit_pct) {
+    std::fprintf(stderr, "wckpt: mean relative error %.6f %% exceeds bound %.6f %%\n",
+                 err.mean_rel_percent(), limit_pct);
+    return 1;
   }
   return 0;
 }
@@ -491,8 +512,7 @@ int cmd_analyze(const std::map<std::string, std::string>& flags) {
   // degenerate table does not skew the quantized fractions.
   p.quantizer.divisions =
       static_cast<int>(std::min<std::size_t>(std::max<std::size_t>(info.averages_count, 1), 256));
-  p.quantizer.spike_partitions =
-      static_cast<int>(std::strtol(get_or(flags, "d", "64").c_str(), nullptr, 10));
+  p.quantizer.spike_partitions = number_or(flags, "d", 64);
 
   quality::QualityReport qr;
   qr.variables.push_back(quality::analyze_pair(original, restored, p,
@@ -549,17 +569,12 @@ int cmd_soak_server(const std::map<std::string, std::string>& flags);
 int cmd_soak(const std::map<std::string, std::string>& flags) {
   if (flags.count("server") != 0) return cmd_soak_server(flags);
   const std::filesystem::path dir = require(flags, "dir");
-  const auto cycles =
-      static_cast<std::uint64_t>(std::strtoll(get_or(flags, "cycles", "1000").c_str(), nullptr, 10));
+  const auto cycles = number_or<std::uint64_t>(flags, "cycles", 1000);
   const Shape shape = parse_shape(get_or(flags, "shape", "32x32"));
-  const auto keep = static_cast<std::size_t>(
-      std::strtoll(get_or(flags, "keep", "3").c_str(), nullptr, 10));
-  const auto seed =
-      static_cast<std::uint64_t>(std::strtoll(get_or(flags, "seed", "2015").c_str(), nullptr, 10));
-  const auto verify_every = static_cast<std::uint64_t>(
-      std::strtoll(get_or(flags, "verify-every", "1").c_str(), nullptr, 10));
-  const auto scrub_every = static_cast<std::uint64_t>(
-      std::strtoll(get_or(flags, "scrub-every", "0").c_str(), nullptr, 10));
+  const auto keep = number_or<std::size_t>(flags, "keep", 3);
+  const auto seed = number_or<std::uint64_t>(flags, "seed", 2015);
+  const auto verify_every = number_or<std::uint64_t>(flags, "verify-every", 1);
+  const auto scrub_every = number_or<std::uint64_t>(flags, "scrub-every", 0);
 
   const std::string codec_name = get_or(flags, "codec", "null");
   const std::unique_ptr<Codec> codec = make_codec(codec_name, flags);
@@ -737,12 +752,9 @@ server::CheckpointService::Options service_options_from_flags(
     const std::map<std::string, std::string>& flags, const std::filesystem::path& root) {
   server::CheckpointService::Options opts;
   opts.root = root;
-  opts.keep_generations = static_cast<std::size_t>(
-      std::strtoll(get_or(flags, "keep", "3").c_str(), nullptr, 10));
-  opts.tenant_quota_bytes = static_cast<std::uint64_t>(
-      std::strtoll(get_or(flags, "quota", "0").c_str(), nullptr, 10));
-  opts.max_inflight = static_cast<std::size_t>(
-      std::strtoll(get_or(flags, "max-inflight", "8").c_str(), nullptr, 10));
+  opts.keep_generations = number_or<std::size_t>(flags, "keep", 3);
+  opts.tenant_quota_bytes = number_or<std::uint64_t>(flags, "quota", 0);
+  opts.max_inflight = number_or<std::size_t>(flags, "max-inflight", 8);
   const std::string admission = get_or(flags, "admission", "block");
   if (admission == "block") {
     opts.admission = server::AdmissionPolicy::kBlock;
@@ -759,16 +771,11 @@ server::CheckpointService::Options service_options_from_flags(
 server::StoreServer::Options server_options_from_flags(
     const std::map<std::string, std::string>& flags) {
   server::StoreServer::Options opts;
-  opts.read_timeout_ms = static_cast<int>(
-      std::strtol(get_or(flags, "read-timeout-ms", "30000").c_str(), nullptr, 10));
-  opts.idle_timeout_ms = static_cast<int>(
-      std::strtol(get_or(flags, "idle-timeout-ms", "120000").c_str(), nullptr, 10));
-  opts.write_timeout_ms = static_cast<int>(
-      std::strtol(get_or(flags, "write-timeout-ms", "30000").c_str(), nullptr, 10));
-  opts.drain_timeout_ms = static_cast<int>(
-      std::strtol(get_or(flags, "drain-timeout-ms", "5000").c_str(), nullptr, 10));
-  opts.slow_request_ms = static_cast<int>(
-      std::strtol(get_or(flags, "slow-ms", "1000").c_str(), nullptr, 10));
+  opts.read_timeout_ms = number_or(flags, "read-timeout-ms", 30000);
+  opts.idle_timeout_ms = number_or(flags, "idle-timeout-ms", 120000);
+  opts.write_timeout_ms = number_or(flags, "write-timeout-ms", 30000);
+  opts.drain_timeout_ms = number_or(flags, "drain-timeout-ms", 5000);
+  opts.slow_request_ms = number_or(flags, "slow-ms", 1000);
   return opts;
 }
 
@@ -777,17 +784,14 @@ server::StoreServer::Options server_options_from_flags(
 StoreClientOptions client_options_from_flags(const std::map<std::string, std::string>& flags,
                                              std::uint64_t seed) {
   StoreClientOptions opts;
-  opts.timeout_ms = static_cast<int>(
-      std::strtol(get_or(flags, "client-timeout-ms", "30000").c_str(), nullptr, 10));
-  const int retries = static_cast<int>(
-      std::strtol(get_or(flags, "client-retries", "0").c_str(), nullptr, 10));
+  opts.timeout_ms = number_or(flags, "client-timeout-ms", 30000);
+  const int retries = number_or(flags, "client-retries", 0);
   opts.retry.max_attempts = 1 + std::max(retries, 0);
   opts.retry.initial_backoff_seconds = 0.01;
   opts.retry.max_backoff_seconds = 0.5;
   opts.retry.jitter_fraction = 0.2;  // decorrelate clients that lost the same server
   opts.seed = seed;
-  opts.slow_request_ms = static_cast<int>(
-      std::strtol(get_or(flags, "slow-ms", "1000").c_str(), nullptr, 10));
+  opts.slow_request_ms = number_or(flags, "slow-ms", 1000);
   return opts;
 }
 
@@ -866,10 +870,8 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
 
 int cmd_put(const std::map<std::string, std::string>& flags) {
   const Shape shape = parse_shape(require(flags, "shape"));
-  const auto step = static_cast<std::uint64_t>(
-      std::strtoll(get_or(flags, "step", "1").c_str(), nullptr, 10));
-  const auto seed =
-      static_cast<std::uint64_t>(std::strtoll(get_or(flags, "seed", "2015").c_str(), nullptr, 10));
+  const auto step = number_or<std::uint64_t>(flags, "step", 1);
+  const auto seed = number_or<std::uint64_t>(flags, "seed", 2015);
   const NdArray<double> array = flags.count("in") != 0
                                     ? read_raw_array(require(flags, "in"), shape)
                                     : make_smooth_field(shape, seed);
@@ -988,10 +990,9 @@ std::string prometheus_metric_name(std::string name) {
 /// between polls) and the server-side p95 put latency.
 int cmd_top(const std::map<std::string, std::string>& flags) {
   const std::string socket_path = require(flags, "socket");
-  const long interval_ms =
-      std::strtol(get_or(flags, "interval-ms", "1000").c_str(), nullptr, 10);
+  const long interval_ms = number_or(flags, "interval-ms", 1000L);
   if (interval_ms <= 0) usage("--interval-ms must be >= 1");
-  const long iterations = std::strtol(get_or(flags, "iterations", "0").c_str(), nullptr, 10);
+  const long iterations = number_or(flags, "iterations", 0L);
   const bool plain = flags.count("plain") != 0;
   const std::string expose_dir = get_or(flags, "expose-dir", "");
 
@@ -1182,20 +1183,15 @@ struct KillGate {
 /// run.
 int cmd_soak_server(const std::map<std::string, std::string>& flags) {
   const std::filesystem::path dir = require(flags, "dir");
-  const auto cycles = static_cast<std::uint64_t>(
-      std::strtoll(get_or(flags, "cycles", "50").c_str(), nullptr, 10));
-  const auto clients = static_cast<std::size_t>(
-      std::strtoll(get_or(flags, "clients", "8").c_str(), nullptr, 10));
-  const auto tenants = static_cast<std::size_t>(std::strtoll(
-      get_or(flags, "tenants", std::to_string(clients)).c_str(), nullptr, 10));
+  const auto cycles = number_or<std::uint64_t>(flags, "cycles", 50);
+  const auto clients = number_or<std::size_t>(flags, "clients", 8);
+  const auto tenants = number_or<std::size_t>(flags, "tenants", clients);
   const Shape shape = parse_shape(get_or(flags, "shape", "16x16"));
-  const auto seed =
-      static_cast<std::uint64_t>(std::strtoll(get_or(flags, "seed", "2015").c_str(), nullptr, 10));
+  const auto seed = number_or<std::uint64_t>(flags, "seed", 2015);
   if (cycles == 0 || clients == 0 || tenants == 0) {
     usage("soak --server needs --cycles, --clients, --tenants all >= 1");
   }
-  const auto kill_every = static_cast<std::uint64_t>(
-      std::strtoll(get_or(flags, "kill-every", "0").c_str(), nullptr, 10));
+  const auto kill_every = number_or<std::uint64_t>(flags, "kill-every", 0);
   const bool reaper = kill_every > 0;
 
   const std::string codec_name = get_or(flags, "codec", "null");
@@ -1581,7 +1577,7 @@ int run(int argc, char** argv) {
     telemetry::PeriodicSnapshotWriter::Options opt;
     const auto comma = dir.find(',');
     if (comma != std::string::npos) {
-      const long ms = std::strtol(dir.c_str() + comma + 1, nullptr, 10);
+      const auto ms = parse_number<long>(dir.substr(comma + 1), "--expose interval");
       if (ms <= 0) usage("bad --expose interval (want DIR[,MS] with MS >= 1)");
       opt.interval = std::chrono::milliseconds(ms);
       dir.resize(comma);
