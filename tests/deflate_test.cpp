@@ -720,6 +720,101 @@ TEST(GoldenOutput, EncoderBytesUnchanged) {
   }
 }
 
+// ---------------------------------------------------------------------
+// Golden payloads across ranks: the table above pins the payload of the
+// 1156x82x2 field only. These pin encode_payload's output, and the
+// doubles the decoder rebuilds from it, for ranks 1-4, odd extents,
+// multi-level plans, the simple quantizer and the CDF 5/3 transform, so
+// a change to the transform or to the band walks must reproduce them
+// exactly.
+// ---------------------------------------------------------------------
+
+struct ShapeCase {
+  const char* id;
+  Shape shape;
+  int levels;
+  QuantizerKind quantizer;
+  WaveletKind wavelet;
+};
+
+std::vector<ShapeCase> shape_cases() {
+  return {
+      {"rank1/1001", Shape{1001}, 1, QuantizerKind::kSpike, WaveletKind::kHaar},
+      {"rank2/33x17", Shape{33, 17}, 1, QuantizerKind::kSpike, WaveletKind::kHaar},
+      {"rank3/7x5x3/l2", Shape{7, 5, 3}, 2, QuantizerKind::kSpike, WaveletKind::kHaar},
+      {"rank4/5x4x3x6/l3", Shape{5, 4, 3, 6}, 3, QuantizerKind::kSpike, WaveletKind::kHaar},
+      {"simple/33x17", Shape{33, 17}, 1, QuantizerKind::kSimple, WaveletKind::kHaar},
+      {"cdf53/7x5x3/l2", Shape{7, 5, 3}, 2, QuantizerKind::kSpike, WaveletKind::kCdf53},
+  };
+}
+
+/// The tag-0 stream of a temperature field of `c.shape` at n = 128.
+Bytes shape_case_stream(const ShapeCase& c) {
+  CompressionParams params;
+  params.quantizer.kind = c.quantizer;
+  params.quantizer.divisions = 128;
+  params.wavelet_levels = c.levels;
+  params.wavelet = c.wavelet;
+  params.entropy = EntropyMode::kNone;
+  return WaveletCompressor(params).compress(make_temperature_field(c.shape, 2015)).data;
+}
+
+/// Checks `bytes` against one golden entry; a mismatch prints the entry
+/// the current code produces.
+void expect_golden(const std::string& id, std::span<const std::byte> bytes,
+                   const GoldenEntry& want) {
+  const std::uint64_t digest = fnv1a64(bytes);
+  char line[160];
+  std::snprintf(line, sizeof(line), "{\"%s\", %zu, 0x%016llxull},", id.c_str(), bytes.size(),
+                static_cast<unsigned long long>(digest));
+  EXPECT_EQ(id, want.id) << line;
+  EXPECT_EQ(bytes.size(), want.size) << line;
+  EXPECT_EQ(digest, want.digest) << line;
+}
+
+// clang-format off
+constexpr GoldenEntry kGoldenShapePayloads[] = {
+  {"payload_v3/rank1/1001", 6339, 0x621aaebf13d3161eull},
+  {"payload_v3/rank2/33x17", 3409, 0xab523319d26e6b29ull},
+  {"payload_v3/rank3/7x5x3/l2", 1261, 0x83bf2b8352fe9853ull},
+  {"payload_v3/rank4/5x4x3x6/l3", 1684, 0xd7d1439859ba056eull},
+  {"payload_v3/simple/33x17", 2730, 0x151c8cdcc9ad5bf2ull},
+  {"payload_v3/cdf53/7x5x3/l2", 1254, 0x55367dda0810f793ull},
+};
+
+constexpr GoldenEntry kGoldenShapeDecoded[] = {
+  {"decoded/rank1/1001", 8008, 0x0ca97aa66791c88full},
+  {"decoded/rank2/33x17", 4488, 0x51aaccd9c4bc4285ull},
+  {"decoded/rank3/7x5x3/l2", 840, 0xf6cbc622763d761eull},
+  {"decoded/rank4/5x4x3x6/l3", 2880, 0xaa1e519fcac881f9ull},
+  {"decoded/simple/33x17", 4488, 0x454dc079fa3932dbull},
+  {"decoded/cdf53/7x5x3/l2", 840, 0x53f0dd746e4a8092ull},
+};
+// clang-format on
+
+TEST(GoldenOutput, PayloadBytesAcrossRanksUnchanged) {
+  const auto cases = shape_cases();
+  ASSERT_EQ(cases.size(), std::size(kGoldenShapePayloads));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Bytes stream = shape_case_stream(cases[i]);
+    expect_golden("payload_v3/" + std::string(cases[i].id),
+                  std::span<const std::byte>(stream).subspan(1), kGoldenShapePayloads[i]);
+  }
+}
+
+TEST(GoldenOutput, DecodedValuesAcrossRanksUnchanged) {
+  const auto cases = shape_cases();
+  ASSERT_EQ(cases.size(), std::size(kGoldenShapeDecoded));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const NdArray<double> back = WaveletCompressor::decompress(shape_case_stream(cases[i]));
+    ASSERT_EQ(back.shape(), cases[i].shape) << cases[i].id;
+    // Bit patterns, little-endian, so the digest does not depend on the host.
+    ByteWriter w;
+    for (const double v : back.values()) w.f64(v);
+    expect_golden("decoded/" + std::string(cases[i].id), w.buffer(), kGoldenShapeDecoded[i]);
+  }
+}
+
 TEST(Deflate, RoundTripAllCases) {
   for (const auto& c : round_trip_cases()) {
     SCOPED_TRACE(c.name);
