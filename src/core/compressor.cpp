@@ -113,20 +113,27 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
     {
       WCK_TRACE_SPAN("quantize");
       const WallTimer quantize_timer;
-      const simd::KernelTable& kern = simd::kernels();
+      // Gather the high bands along the serialization walk, one copy per
+      // run of consecutive coefficients.
+      const double* coeffs = work.data();
       high.reserve(plan.high_count());
-      for_each_high_band(work.view(), plan.final_low_extents(),
-                         [&high](double& v) { high.push_back(v); });
+      for_each_high_run(work.shape(), plan.final_low_extents(),
+                        [&high, coeffs](std::size_t off, std::size_t count) {
+                          high.insert(high.end(), coeffs + off, coeffs + off + count);
+                        });
       // Range-scan the contiguous copy with the vector kernel so
       // analyze() skips its own min/max pass; the kernel replicates the
       // analyzer's sequential fold, so the scheme is bit-identical.
       ValueRange range;
       if (!high.empty()) {
-        kern.range_min_max(high.data(), high.size(), &range.min, &range.max);
+        simd::kernels().range_min_max(high.data(), high.size(), &range.min, &range.max);
       }
 
+      // The analysis classifies every coefficient in the pass that
+      // builds the averages table.
+      std::vector<std::int32_t> cls(high.size());
       scheme = QuantizationScheme::analyze(high, params_.quantizer,
-                                           high.empty() ? nullptr : &range);
+                                           high.empty() ? nullptr : &range, cls);
 
       p.shape = input.shape();
       p.levels = params_.wavelet_levels;
@@ -134,10 +141,10 @@ CompressedArray WaveletCompressor::compress(const NdArray<double>& input) const 
       p.quantizer = params_.quantizer.kind;
       p.averages = scheme.averages();
       p.low_band.reserve(plan.low_count());
-      for_each_low_band(work.view(), plan.final_low_extents(),
-                        [&p](double& v) { p.low_band.push_back(v); });
-      std::vector<std::int32_t> cls(high.size());
-      scheme.classify_batch(high, cls);
+      for_each_low_run(work.shape(), plan.final_low_extents(),
+                       [&p, coeffs](std::size_t off, std::size_t count) {
+                         p.low_band.insert(p.low_band.end(), coeffs + off, coeffs + off + count);
+                       });
       p.quantized = Bitmap::from_classification(cls);
       p.indices.reserve(p.quantized.count());
       for (std::size_t i = 0; i < high.size(); ++i) {
@@ -258,25 +265,32 @@ NdArray<double> WaveletCompressor::decompress(std::span<const std::byte> data) {
   }
 
   NdArray<double> work(p.shape);
+  double* coeffs = work.data();
   {
-    std::size_t li = 0;
-    for_each_low_band(work.view(), plan.final_low_extents(),
-                      [&](double& v) { v = p.low_band[li++]; });
+    const double* src = p.low_band.data();
+    for_each_low_run(p.shape, plan.final_low_extents(),
+                     [&src, coeffs](std::size_t off, std::size_t count) {
+                       std::copy_n(src, count, coeffs + off);
+                       src += count;
+                     });
   }
   {
     // Materialize the high bands contiguously through the select kernel
     // (decode_payload validated popcount == #indices, every index <
-    // #averages, and #exact == size - popcount), then scatter along the
-    // serialization walk.
+    // #averages, and #exact == size - popcount), then scatter them along
+    // the serialization walk, one copy per run.
     const std::size_t n = p.quantized.size();
     std::vector<double> high(n);
     if (n > 0) {
       simd::kernels().bitmap_select(p.quantized.words().data(), n, p.averages.data(),
                                     p.indices.data(), p.exact_values.data(), high.data());
     }
-    std::size_t hi = 0;
-    for_each_high_band(work.view(), plan.final_low_extents(),
-                       [&high, &hi](double& v) { v = high[hi++]; });
+    const double* src = high.data();
+    for_each_high_run(p.shape, plan.final_low_extents(),
+                      [&src, coeffs](std::size_t off, std::size_t count) {
+                        std::copy_n(src, count, coeffs + off);
+                        src += count;
+                      });
   }
   wavelet_inverse(work.view(), p.wavelet, p.levels);
   return work;

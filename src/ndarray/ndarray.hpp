@@ -50,6 +50,17 @@ class NdSpan {
   [[nodiscard]] std::size_t stride(std::size_t axis) const noexcept { return strides_[axis]; }
   [[nodiscard]] T* data() const noexcept { return data_; }
 
+  /// True when the view is dense row-major storage of its shape, so
+  /// element `flat` is data()[flat]. Strides of extent-1 axes never
+  /// matter and are ignored.
+  [[nodiscard]] bool is_contiguous() const noexcept {
+    const auto dense = shape_.row_major_strides();
+    for (std::size_t a = 0; a < rank(); ++a) {
+      if (shape_[a] > 1 && strides_[a] != dense[a]) return false;
+    }
+    return true;
+  }
+
   [[nodiscard]] T& operator()(std::size_t i) const noexcept { return data_[i * strides_[0]]; }
   [[nodiscard]] T& operator()(std::size_t i, std::size_t j) const noexcept {
     return data_[i * strides_[0] + j * strides_[1]];

@@ -39,18 +39,27 @@ int grid_index(double v, double lo, double inv_width, int n) noexcept {
 constexpr std::size_t kBatch = 4096;
 
 /// Applies `fold(index, value)` to every value's grid index, computing
-/// indexes a batch at a time through the dispatched kernel.
+/// indexes a batch at a time through the dispatched kernel. A non-empty
+/// `out` (one slot per value) keeps the indexes.
 template <typename Fold>
 void for_each_grid_index(std::span<const double> values, double lo, double inv_width, int n,
-                         Fold&& fold) {
+                         Fold&& fold, std::span<std::int32_t> out = {}) {
   const simd::KernelTable& k = simd::kernels();
-  std::array<std::int32_t, kBatch> idx;
+  std::array<std::int32_t, kBatch> buf;
   for (std::size_t off = 0; off < values.size(); off += kBatch) {
     const std::size_t m = std::min(kBatch, values.size() - off);
-    k.grid_index_batch(values.data() + off, m, lo, inv_width, n, idx.data());
+    std::int32_t* idx = out.empty() ? buf.data() : out.data() + off;
+    k.grid_index_batch(values.data() + off, m, lo, inv_width, n, idx);
     for (std::size_t i = 0; i < m; ++i) {
       fold(static_cast<std::size_t>(idx[i]), values[off + i]);
     }
+  }
+}
+
+void check_classes(std::span<const double> values, std::span<const std::int32_t> classes) {
+  if (!classes.empty() && classes.size() != values.size()) {
+    throw InvalidArgumentError("analyze: classes size " + std::to_string(classes.size()) +
+                               " does not match " + std::to_string(values.size()) + " values");
   }
 }
 
@@ -88,35 +97,11 @@ int QuantizationScheme::classify(double v) const noexcept {
   return grid_index(v, quant_min_, inv_width_, divisions_);
 }
 
-void QuantizationScheme::classify_batch(std::span<const double> values,
-                                        std::span<std::int32_t> out) const {
-  if (values.size() != out.size()) {
-    throw InvalidArgumentError("classify_batch: output size does not match input");
-  }
-  if (values.empty()) return;
-  if (averages_.empty()) {
-    std::fill(out.begin(), out.end(), kUnquantized);
-    return;
-  }
-  const simd::KernelTable& k = simd::kernels();
-  k.grid_index_batch(values.data(), values.size(), quant_min_, inv_width_, divisions_,
-                     out.data());
-  if (kind_ == QuantizerKind::kSpike) {
-    const auto d = static_cast<std::int32_t>(spike_mask_.size());
-    std::array<std::int32_t, kBatch> dp;
-    for (std::size_t off = 0; off < values.size(); off += kBatch) {
-      const std::size_t m = std::min(kBatch, values.size() - off);
-      k.grid_index_batch(values.data() + off, m, domain_min_, inv_domain_width_, d, dp.data());
-      for (std::size_t i = 0; i < m; ++i) {
-        if (!spike_mask_[static_cast<std::size_t>(dp[i])]) out[off + i] = kUnquantized;
-      }
-    }
-  }
-}
-
 QuantizationScheme QuantizationScheme::analyze_simple(std::span<const double> values, int n,
-                                                      const ValueRange* range) {
+                                                      const ValueRange* range,
+                                                      std::span<std::int32_t> classes) {
   check_divisions(n);
+  check_classes(values, classes);
   QuantizationScheme s;
   s.kind_ = QuantizerKind::kSimple;
   s.divisions_ = n;
@@ -132,10 +117,14 @@ QuantizationScheme QuantizationScheme::analyze_simple(std::span<const double> va
   // but keep the table dense and deterministic.
   std::vector<double> sums(static_cast<std::size_t>(n), 0.0);
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(n), 0);
-  for_each_grid_index(values, lo, s.inv_width_, n, [&sums, &counts](std::size_t p, double v) {
-    sums[p] += v;
-    ++counts[p];
-  });
+  // Every value is quantized, so its partition is its class.
+  for_each_grid_index(
+      values, lo, s.inv_width_, n,
+      [&sums, &counts](std::size_t p, double v) {
+        sums[p] += v;
+        ++counts[p];
+      },
+      classes);
   s.averages_.resize(static_cast<std::size_t>(n));
   const double width = hi > lo ? (hi - lo) / n : 0.0;
   for (std::size_t p = 0; p < s.averages_.size(); ++p) {
@@ -146,9 +135,11 @@ QuantizationScheme QuantizationScheme::analyze_simple(std::span<const double> va
 }
 
 QuantizationScheme QuantizationScheme::analyze_spike(std::span<const double> values, int n,
-                                                     int d, const ValueRange* range) {
+                                                     int d, const ValueRange* range,
+                                                     std::span<std::int32_t> classes) {
   check_divisions(n);
   if (d < 1) throw InvalidArgumentError("spike partition count d must be >= 1");
+  check_classes(values, classes);
   QuantizationScheme s;
   s.kind_ = QuantizerKind::kSpike;
   s.divisions_ = n;
@@ -192,18 +183,25 @@ QuantizationScheme QuantizationScheme::analyze_spike(std::span<const double> val
   if (last_spike == d - 1) s.quant_max_ = hi;  // avoid FP drift past the top
   s.inv_width_ = s.quant_max_ > s.quant_min_ ? n / (s.quant_max_ - s.quant_min_) : 0.0;
 
+  // Both grid indexes of every value, dp on the d-grid and qp on the
+  // n-grid, are exactly what classify() computes: a value outside the
+  // spike partitions is kUnquantized, any other one is class qp.
   std::vector<double> sums(static_cast<std::size_t>(n), 0.0);
   std::vector<std::uint64_t> qcounts(static_cast<std::size_t>(n), 0);
   {
     const simd::KernelTable& k = simd::kernels();
     std::array<std::int32_t, kBatch> dp;
-    std::array<std::int32_t, kBatch> qp;
+    std::array<std::int32_t, kBatch> qbuf;
     for (std::size_t off = 0; off < values.size(); off += kBatch) {
       const std::size_t m = std::min(kBatch, values.size() - off);
+      std::int32_t* qp = classes.empty() ? qbuf.data() : classes.data() + off;
       k.grid_index_batch(values.data() + off, m, lo, s.inv_domain_width_, d, dp.data());
-      k.grid_index_batch(values.data() + off, m, s.quant_min_, s.inv_width_, n, qp.data());
+      k.grid_index_batch(values.data() + off, m, s.quant_min_, s.inv_width_, n, qp);
       for (std::size_t i = 0; i < m; ++i) {
-        if (!s.spike_mask_[static_cast<std::size_t>(dp[i])]) continue;
+        if (!s.spike_mask_[static_cast<std::size_t>(dp[i])]) {
+          qp[i] = kUnquantized;
+          continue;
+        }
         sums[static_cast<std::size_t>(qp[i])] += values[off + i];
         ++qcounts[static_cast<std::size_t>(qp[i])];
       }
@@ -220,12 +218,13 @@ QuantizationScheme QuantizationScheme::analyze_spike(std::span<const double> val
 
 QuantizationScheme QuantizationScheme::analyze(std::span<const double> values,
                                                const QuantizerConfig& cfg,
-                                               const ValueRange* range) {
+                                               const ValueRange* range,
+                                               std::span<std::int32_t> classes) {
   switch (cfg.kind) {
     case QuantizerKind::kSimple:
-      return analyze_simple(values, cfg.divisions, range);
+      return analyze_simple(values, cfg.divisions, range, classes);
     case QuantizerKind::kSpike:
-      return analyze_spike(values, cfg.divisions, cfg.spike_partitions, range);
+      return analyze_spike(values, cfg.divisions, cfg.spike_partitions, range, classes);
   }
   throw InvalidArgumentError("unknown quantizer kind");
 }

@@ -63,31 +63,33 @@ class QuantizationScheme {
   /// must be stored exactly (outside the spike).
   [[nodiscard]] int classify(double v) const noexcept;
 
-  /// Batch classify through the dispatched SIMD kernels:
-  /// out[i] == classify(values[i]) for every i (bit-identical at every
-  /// dispatch level). out.size() must equal values.size().
-  void classify_batch(std::span<const double> values, std::span<std::int32_t> out) const;
-
   /// True if the scheme quantizes nothing (degenerate empty input).
   [[nodiscard]] bool empty() const noexcept { return averages_.empty(); }
 
   [[nodiscard]] QuantizerKind kind() const noexcept { return kind_; }
 
   // --- construction ---
+  //
+  // `range`, when non-null, supplies the precomputed extrema of `values`
+  // and elides the internal min/max pass. `classes`, when non-empty,
+  // receives classify(values[i]) for every i from the pass that builds
+  // the averages table (bit-identical at every dispatch level); its size
+  // must equal values.size(), else InvalidArgumentError.
 
   /// Analyzes `values` with simple quantization into `n` partitions.
-  /// `range`, when non-null, supplies the precomputed extrema of
-  /// `values` and elides the internal min/max pass.
   static QuantizationScheme analyze_simple(std::span<const double> values, int n,
-                                           const ValueRange* range = nullptr);
+                                           const ValueRange* range = nullptr,
+                                           std::span<std::int32_t> classes = {});
 
   /// Analyzes `values` with the proposed spike quantization (Eq. 4).
   static QuantizationScheme analyze_spike(std::span<const double> values, int n, int d,
-                                          const ValueRange* range = nullptr);
+                                          const ValueRange* range = nullptr,
+                                          std::span<std::int32_t> classes = {});
 
   /// Dispatches on config.kind.
   static QuantizationScheme analyze(std::span<const double> values, const QuantizerConfig& cfg,
-                                    const ValueRange* range = nullptr);
+                                    const ValueRange* range = nullptr,
+                                    std::span<std::int32_t> classes = {});
 
   // --- serialization (used by the encode subsystem) ---
 

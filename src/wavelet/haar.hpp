@@ -14,6 +14,8 @@
 // exponent neighbourhood), which tests exploit with dyadic data.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <string>
 #include <vector>
@@ -53,45 +55,117 @@ class WaveletPlan {
   std::vector<Shape> lows_;
 };
 
-/// In-place forward Haar transform of `a`, `levels` deep.
+/// In-place forward Haar transform of `a`, `levels` deep. Each level
+/// makes one pass per axis over whole rows: viewing a dense block as
+/// [outer][n][inner], the row pair (2i, 2i+1) of `inner` values becomes
+/// row i of L and row ceil(n/2) + i of H. A strided view (a sub-block,
+/// or the low corner from level 2 on) is transformed on a dense copy.
+/// Every value gets the same two IEEE operations in the same axis order
+/// as a line-at-a-time transform, so the result is bit-identical to it.
 void haar_forward(NdSpan<double> a, int levels = 1);
 
 /// In-place inverse Haar transform (exactly undoes haar_forward's band
 /// layout; values recover up to FP rounding).
 void haar_inverse(NdSpan<double> a, int levels = 1);
 
+namespace detail {
+
+/// Walks a row-major array of `shape` against the low corner `low`
+/// from axis `ax` on, at flat offset `off` (every earlier index lies
+/// inside the corner). Each row of the corner along the last axis goes
+/// to lo(offset, count); the rest of each axis's range is one dense
+/// piece that goes to hi(offset, count). Pieces come in row-major order.
+template <typename Lo, typename Hi>
+void band_pieces(const Shape& shape, const Shape& low,
+                 const std::array<std::size_t, kMaxRank>& stride, std::size_t ax,
+                 std::size_t off, Lo& lo, Hi& hi) {
+  const std::size_t in_low = std::min(low[ax], shape[ax]);
+  if (ax + 1 == shape.rank()) {
+    lo(off, in_low);
+  } else {
+    for (std::size_t i = 0; i < in_low; ++i) {
+      band_pieces(shape, low, stride, ax + 1, off + i * stride[ax], lo, hi);
+    }
+  }
+  hi(off + in_low * stride[ax], (shape[ax] - in_low) * stride[ax]);
+}
+
+/// Joins adjacent pieces into maximal runs before passing them on.
+template <typename Fn>
+class RunJoiner {
+ public:
+  explicit RunJoiner(Fn& fn) : fn_(fn) {}
+  void operator()(std::size_t off, std::size_t count) {
+    if (count == 0) return;
+    if (count_ != 0 && off_ + count_ == off) {
+      count_ += count;
+      return;
+    }
+    flush();
+    off_ = off;
+    count_ = count;
+  }
+  void flush() {
+    if (count_ != 0) fn_(off_, count_);
+    count_ = 0;
+  }
+
+ private:
+  Fn& fn_;
+  std::size_t off_ = 0;
+  std::size_t count_ = 0;
+};
+
+/// Element `flat` (a row-major index of the view's shape) of `a`.
+template <typename T>
+[[nodiscard]] T& element(const NdSpan<T>& a, bool contiguous, std::size_t flat) noexcept {
+  if (contiguous) return a.data()[flat];
+  std::size_t off = 0;
+  for (std::size_t ax = a.rank(); ax-- > 0;) {
+    off += (flat % a.shape()[ax]) * a.stride(ax);
+    flat /= a.shape()[ax];
+  }
+  return a.data()[off];
+}
+
+}  // namespace detail
+
+/// Yields the high-frequency bands (all positions outside the final low
+/// corner `low`) of a row-major array of `shape` as maximal runs of
+/// consecutive flat offsets: fn(offset, count), in row-major order. This
+/// order is part of the serialization contract: compression gathers the
+/// coefficients along it and decompression scatters them back.
+template <typename Fn>
+void for_each_high_run(const Shape& shape, const Shape& low, Fn&& fn) {
+  if (shape.size() == 0) return;
+  const auto stride = shape.row_major_strides();
+  detail::RunJoiner<Fn> runs(fn);
+  const auto skip = [](std::size_t, std::size_t) {};
+  detail::band_pieces(shape, low, stride, 0, 0, skip, runs);
+  runs.flush();
+}
+
+/// Yields the final low corner of a row-major array of `shape` as
+/// maximal runs, fn(offset, count), in row-major order.
+template <typename Fn>
+void for_each_low_run(const Shape& shape, const Shape& low, Fn&& fn) {
+  if (shape.size() == 0) return;
+  const auto stride = shape.row_major_strides();
+  detail::RunJoiner<Fn> runs(fn);
+  const auto skip = [](std::size_t, std::size_t) {};
+  detail::band_pieces(shape, low, stride, 0, 0, runs, skip);
+  runs.flush();
+}
+
 /// Visits every element of the high-frequency bands (all positions
-/// outside the final low corner) in row-major order of the full array.
-/// The same order is used by compression and decompression, so it is
-/// part of the serialization contract.
+/// outside the final low corner) in row-major order of the full array,
+/// along for_each_high_run.
 template <typename T, typename Fn>
 void for_each_high_band(NdSpan<T> a, const Shape& low_corner, Fn&& fn) {
-  const std::size_t r = a.rank();
-  std::array<std::size_t, kMaxRank> idx{};
-  if (a.size() == 0) return;
-  for (;;) {
-    bool in_low = true;
-    for (std::size_t ax = 0; ax < r; ++ax) {
-      if (idx[ax] >= low_corner[ax]) {
-        in_low = false;
-        break;
-      }
-    }
-    if (!in_low) {
-      std::size_t off = 0;
-      for (std::size_t ax = 0; ax < r; ++ax) off += idx[ax] * a.stride(ax);
-      fn(a.data()[off]);
-    }
-    bool done = true;
-    for (std::size_t ax = r; ax-- > 0;) {
-      if (++idx[ax] < a.extent(ax)) {
-        done = false;
-        break;
-      }
-      idx[ax] = 0;
-    }
-    if (done) return;
-  }
+  const bool contiguous = a.is_contiguous();
+  for_each_high_run(a.shape(), low_corner, [&](std::size_t off, std::size_t count) {
+    for (std::size_t i = off; i < off + count; ++i) fn(detail::element(a, contiguous, i));
+  });
 }
 
 /// Canonical display name of a high band: "l<level>.<axis letters>",
@@ -150,14 +224,14 @@ void for_each_high_band_id(const WaveletPlan& plan, Fn&& fn) {
   }
 }
 
-/// Visits every element of the final low corner in row-major order.
+/// Visits every element of the final low corner in row-major order,
+/// along for_each_low_run.
 template <typename T, typename Fn>
 void for_each_low_band(NdSpan<T> a, const Shape& low_corner, Fn&& fn) {
-  std::array<std::size_t, kMaxRank> offs{};
-  std::array<std::size_t, kMaxRank> exts{};
-  for (std::size_t ax = 0; ax < a.rank(); ++ax) exts[ax] = low_corner[ax];
-  auto low = a.subblock(std::span(offs.data(), a.rank()), std::span(exts.data(), a.rank()));
-  low.visit_row_major(fn);
+  const bool contiguous = a.is_contiguous();
+  for_each_low_run(a.shape(), low_corner, [&](std::size_t off, std::size_t count) {
+    for (std::size_t i = off; i < off + count; ++i) fn(detail::element(a, contiguous, i));
+  });
 }
 
 }  // namespace wck

@@ -312,7 +312,9 @@ TEST(SimdKernels, Adler32BitIdenticalAndKnownVector) {
   }
 }
 
-TEST(SimdQuantizer, ClassifyBatchMatchesClassifyAtEveryLevel) {
+TEST(SimdQuantizer, AnalyzeClassesMatchClassifyAtEveryLevel) {
+  // The classes analyze() fills from its table-building pass must equal
+  // classify() of each value, NaN included, at every dispatch level.
   auto values = mixed_values(10007, 6);
   values[17] = kNaN;
   for (const Level lv : simd::available_levels()) {
@@ -321,11 +323,13 @@ TEST(SimdQuantizer, ClassifyBatchMatchesClassifyAtEveryLevel) {
       QuantizerConfig cfg;
       cfg.kind = kind;
       cfg.divisions = 128;
-      const auto scheme = QuantizationScheme::analyze(values, cfg);
-      std::vector<std::int32_t> batch(values.size());
-      scheme.classify_batch(values, batch);
+      std::vector<std::int32_t> classes(values.size(), 12345);
+      const auto scheme = QuantizationScheme::analyze(values, cfg, nullptr, classes);
+      // The classes do not change the scheme.
+      expect_bits_equal(scheme.averages(), QuantizationScheme::analyze(values, cfg).averages(),
+                        "averages", lv);
       for (std::size_t i = 0; i < values.size(); ++i) {
-        ASSERT_EQ(batch[i], scheme.classify(values[i]))
+        ASSERT_EQ(classes[i], scheme.classify(values[i]))
             << "i=" << i << " kind=" << static_cast<int>(kind) << " @ " << simd::to_string(lv);
       }
     }
@@ -333,10 +337,17 @@ TEST(SimdQuantizer, ClassifyBatchMatchesClassifyAtEveryLevel) {
   simd::reset_active_level_for_test();
 }
 
-TEST(SimdQuantizer, ClassifyBatchSizeMismatchThrows) {
-  const auto scheme = QuantizationScheme::analyze_simple(mixed_values(64, 8), 16);
+TEST(SimdQuantizer, AnalyzeClassesSizeMismatchThrows) {
+  const auto values = mixed_values(64, 8);
   std::vector<std::int32_t> out(63);
-  EXPECT_THROW(scheme.classify_batch(mixed_values(64, 8), out), InvalidArgumentError);
+  EXPECT_THROW((void)QuantizationScheme::analyze_simple(values, 16, nullptr, out),
+               InvalidArgumentError);
+  EXPECT_THROW((void)QuantizationScheme::analyze_spike(values, 16, 64, nullptr, out),
+               InvalidArgumentError);
+  EXPECT_THROW((void)QuantizationScheme::analyze_spike({}, 16, 64, nullptr, out),
+               InvalidArgumentError);
+  // An empty span asks for no classes.
+  EXPECT_NO_THROW((void)QuantizationScheme::analyze_simple(values, 16, nullptr, {}));
 }
 
 TEST(SimdQuantizer, AnalyzeIsLevelInvariant) {

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <utility>
+#include <vector>
 
 #include "ndarray/ndarray.hpp"
 #include "util/error.hpp"
@@ -226,6 +229,227 @@ TEST(Haar, MultiLevelMatchesRepeatedSingleLevel) {
   for (std::size_t i = 0; i < multi.size(); ++i) {
     EXPECT_DOUBLE_EQ(multi[i], twice[i]);
   }
+}
+
+// ---------------------------------------------------------------------
+// References: the per-line transform (one call per 1D line through
+// NdSpan::for_each_line) and the per-element odometer walks that the
+// row-pair passes and the run walks replaced. The production code must
+// match them bit for bit.
+// ---------------------------------------------------------------------
+
+void ref_line_forward(const Line<double>& ln, std::vector<double>& scratch) {
+  const std::size_t n = ln.count;
+  if (n < 2) return;
+  const std::size_t pairs = n / 2;
+  const std::size_t nl = n - pairs;
+  scratch.resize(n);
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const double a = ln[2 * i];
+    const double b = ln[2 * i + 1];
+    scratch[i] = (a + b) / 2.0;
+    scratch[nl + i] = (a - b) / 2.0;
+  }
+  if (n % 2 != 0) scratch[pairs] = ln[n - 1];
+  for (std::size_t i = 0; i < n; ++i) ln[i] = scratch[i];
+}
+
+void ref_line_inverse(const Line<double>& ln, std::vector<double>& scratch) {
+  const std::size_t n = ln.count;
+  if (n < 2) return;
+  const std::size_t pairs = n / 2;
+  const std::size_t nl = n - pairs;
+  scratch.resize(n);
+  for (std::size_t i = 0; i < pairs; ++i) {
+    const double lo = ln[i];
+    const double hi = ln[nl + i];
+    scratch[2 * i] = lo + hi;
+    scratch[2 * i + 1] = lo - hi;
+  }
+  if (n % 2 != 0) scratch[n - 1] = ln[pairs];
+  for (std::size_t i = 0; i < n; ++i) ln[i] = scratch[i];
+}
+
+/// The nested low blocks of a `levels`-deep transform of `a`, outermost first.
+std::vector<NdSpan<double>> ref_blocks(NdSpan<double> a, int levels) {
+  std::vector<NdSpan<double>> blocks;
+  NdSpan<double> block = a;
+  for (int l = 0; l < levels; ++l) {
+    blocks.push_back(block);
+    std::array<std::size_t, kMaxRank> offs{};
+    std::array<std::size_t, kMaxRank> exts{};
+    for (std::size_t ax = 0; ax < block.rank(); ++ax) exts[ax] = (block.extent(ax) + 1) / 2;
+    block = block.subblock(std::span(offs.data(), block.rank()),
+                           std::span(exts.data(), block.rank()));
+  }
+  return blocks;
+}
+
+void ref_haar_forward(NdSpan<double> a, int levels) {
+  std::vector<double> scratch;
+  for (const NdSpan<double>& b : ref_blocks(a, levels)) {
+    for (std::size_t ax = 0; ax < b.rank(); ++ax) {
+      b.for_each_line(ax, [&](const Line<double>& ln) { ref_line_forward(ln, scratch); });
+    }
+  }
+}
+
+void ref_haar_inverse(NdSpan<double> a, int levels) {
+  std::vector<double> scratch;
+  const auto blocks = ref_blocks(a, levels);
+  for (auto b = blocks.rbegin(); b != blocks.rend(); ++b) {
+    for (std::size_t ax = b->rank(); ax-- > 0;) {
+      b->for_each_line(ax, [&](const Line<double>& ln) { ref_line_inverse(ln, scratch); });
+    }
+  }
+}
+
+/// Row-major flat offsets of the high (`want_high`) or low elements of
+/// `shape` against the low corner `low`, by a per-element odometer.
+std::vector<std::size_t> ref_band_offsets(const Shape& shape, const Shape& low, bool want_high) {
+  std::vector<std::size_t> out;
+  std::array<std::size_t, kMaxRank> idx{};
+  for (std::size_t flat = 0; flat < shape.size(); ++flat) {
+    bool in_low = true;
+    for (std::size_t ax = 0; ax < shape.rank(); ++ax) in_low = in_low && idx[ax] < low[ax];
+    if (in_low != want_high) out.push_back(flat);
+    for (std::size_t ax = shape.rank(); ax-- > 0;) {
+      if (++idx[ax] < shape[ax]) break;
+      idx[ax] = 0;
+    }
+  }
+  return out;
+}
+
+bool same_bits(const NdArray<double>& a, const NdArray<double>& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+/// Ranks 1-4, odd extents, extent-1 and extent-2 axes, and shapes whose
+/// passes outgrow the scratch budget (column chunks, single columns).
+std::vector<Shape> reference_shapes() {
+  return {Shape{1},       Shape{2},         Shape{7},          Shape{64},
+          Shape{1001},    Shape{70001},     Shape{33, 17},     Shape{1, 9},
+          Shape{600, 120}, Shape{66001, 2}, Shape{1, 7, 1},    Shape{7, 5, 3},
+          Shape{8, 8, 8}, Shape{2, 3, 2},   Shape{96, 82, 2},  Shape{5, 4, 3, 6},
+          Shape{3, 1, 4, 2}, Shape{2, 2, 2, 2}};
+}
+
+TEST(HaarReference, ForwardAndInverseMatchPerLineBitForBit) {
+  for (const Shape& shape : reference_shapes()) {
+    for (int levels = 1; levels <= 3; ++levels) {
+      SCOPED_TRACE(shape.to_string() + " levels=" + std::to_string(levels));
+      const NdArray<double> orig = random_array(shape, 97 + shape.size());
+      NdArray<double> fwd = orig;
+      NdArray<double> ref = orig;
+      haar_forward(fwd.view(), levels);
+      ref_haar_forward(ref.view(), levels);
+      ASSERT_TRUE(same_bits(fwd, ref));
+
+      // Random coefficients, so the inverse rounds as it would in use.
+      NdArray<double> inv = orig;
+      NdArray<double> ref_inv = orig;
+      haar_inverse(inv.view(), levels);
+      ref_haar_inverse(ref_inv.view(), levels);
+      ASSERT_TRUE(same_bits(inv, ref_inv));
+    }
+  }
+}
+
+TEST(HaarReference, StridedSubblockMatchesPerLineBitForBit) {
+  const NdArray<double> orig = random_array(Shape{12, 10, 6}, 5);
+  const std::size_t offs[] = {1, 2, 1};
+  const std::size_t exts[] = {9, 7, 4};
+  for (int levels = 1; levels <= 3; ++levels) {
+    SCOPED_TRACE(levels);
+    NdArray<double> a = orig;
+    NdArray<double> ref = orig;
+    haar_forward(a.view().subblock(offs, exts), levels);
+    ref_haar_forward(ref.view().subblock(offs, exts), levels);
+    ASSERT_TRUE(same_bits(a, ref));
+    haar_inverse(a.view().subblock(offs, exts), levels);
+    ref_haar_inverse(ref.view().subblock(offs, exts), levels);
+    ASSERT_TRUE(same_bits(a, ref));
+  }
+}
+
+/// Expands the runs `walk` yields into offsets, checking that each run
+/// is non-empty and maximal (never adjacent to the one before it).
+template <typename Walk>
+std::vector<std::size_t> expand_runs(Walk&& walk) {
+  std::vector<std::size_t> out;
+  walk([&out](std::size_t off, std::size_t count) {
+    EXPECT_GT(count, 0u);
+    if (!out.empty()) {
+      EXPECT_LT(out.back() + 1, off) << "runs not maximal";
+    }
+    for (std::size_t i = 0; i < count; ++i) out.push_back(off + i);
+  });
+  return out;
+}
+
+TEST(BandRuns, HighAndLowRunsMatchOdometer) {
+  for (const Shape& shape : reference_shapes()) {
+    for (int levels = 1; levels <= 3; ++levels) {
+      SCOPED_TRACE(shape.to_string() + " levels=" + std::to_string(levels));
+      const Shape low = WaveletPlan::create(shape, levels).final_low_extents();
+      EXPECT_EQ(expand_runs([&](auto fn) { for_each_high_run(shape, low, fn); }),
+                ref_band_offsets(shape, low, true));
+      EXPECT_EQ(expand_runs([&](auto fn) { for_each_low_run(shape, low, fn); }),
+                ref_band_offsets(shape, low, false));
+    }
+  }
+}
+
+TEST(BandRuns, BandVisitorsMatchOdometerOnContiguousAndStridedViews) {
+  NdArray<double> base(Shape{11, 9, 6});
+  const std::size_t offs[] = {2, 1, 1};
+  const std::size_t exts[] = {7, 8, 5};
+  for (const NdSpan<double>& view : {base.view(), base.view().subblock(offs, exts)}) {
+    for (int levels = 1; levels <= 3; ++levels) {
+      const Shape low = WaveletPlan::create(view.shape(), levels).final_low_extents();
+      for (const bool high : {true, false}) {
+        std::vector<const double*> want;
+        for (const std::size_t flat : ref_band_offsets(view.shape(), low, high)) {
+          std::array<std::size_t, kMaxRank> idx{};
+          std::size_t rest = flat;
+          for (std::size_t ax = view.rank(); ax-- > 0;) {
+            idx[ax] = rest % view.extent(ax);
+            rest /= view.extent(ax);
+          }
+          want.push_back(&view.at(std::span(idx.data(), view.rank())));
+        }
+        std::vector<const double*> seen;
+        const auto visit = [&seen](double& v) { seen.push_back(&v); };
+        if (high) {
+          for_each_high_band(view, low, visit);
+        } else {
+          for_each_low_band(view, low, visit);
+        }
+        EXPECT_EQ(seen, want) << "levels=" << levels << " high=" << high;
+      }
+    }
+  }
+}
+
+TEST(BandRuns, Fig9ShapeHighBandsAreFewRuns) {
+  // One level over 1156x82x2. Each of the 578 rows of axis 0's low half
+  // holds 40 one-element runs (the H half of the extent-2 axis) and one
+  // 83-element run: the 41st H element joins the row's 82-element high
+  // half of axis 1. The last row's run also takes in the whole high half
+  // of axis 0.
+  const Shape shape{1156, 82, 2};
+  const WaveletPlan plan = WaveletPlan::create(shape, 1);
+  std::size_t runs = 0;
+  std::size_t elements = 0;
+  for_each_high_run(shape, plan.final_low_extents(), [&](std::size_t, std::size_t count) {
+    ++runs;
+    elements += count;
+  });
+  EXPECT_EQ(runs, 578u * 41u);
+  EXPECT_EQ(elements, plan.high_count());
+  EXPECT_EQ(elements, 165886u);
 }
 
 }  // namespace

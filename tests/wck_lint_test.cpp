@@ -100,6 +100,19 @@ TEST(WckLintMetricName, AcceptsConformingAndDynamicNames) {
   EXPECT_TRUE(findings.empty()) << format(findings.front());
 }
 
+TEST(WckLintMetricName, MatcherEdgeCases) {
+  // The grammar is ^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$.
+  for (const char* good : {"a.b", "a_1.b2", "x.y.z", "io.fsync_dir.seconds", "a.0"}) {
+    const std::string text = std::string("WCK_COUNTER_ADD(\"") + good + "\", 1);\n";
+    EXPECT_TRUE(scan_file("src/x.cpp", text).empty()) << good;
+  }
+  for (const char* bad : {"a", "a.", ".a", "a..b", "1a.b", "_a.b", "A.b", "a.B", "a.b-c", "a b.c",
+                          ""}) {
+    const std::string text = std::string("WCK_COUNTER_ADD(\"") + bad + "\", 1);\n";
+    EXPECT_EQ(of_rule(scan_file("src/x.cpp", text), "metric-name").size(), 1u) << bad;
+  }
+}
+
 TEST(WckLintGetenv, FlagsDirectReadsOutsideEnvCache) {
   const std::string text = read_fixture("r5_getenv_violation.cpp");
   const auto findings = scan_file("tools/fx.cpp", text);

@@ -6,7 +6,6 @@
 #include <fstream>
 #include <functional>
 #include <iterator>
-#include <regex>
 #include <sstream>
 #include <tuple>
 
@@ -291,10 +290,28 @@ void rule_naked_mutex(const std::string& rel, const Scanned& sc,
   }
 }
 
+/// True for a dotted.lowercase name, ^[a-z][a-z0-9_]*(\.[a-z0-9_]+)+$:
+/// two or more non-empty '.'-separated segments of [a-z0-9_], the first
+/// starting with a letter.
+bool is_dotted_lowercase(std::string_view s) {
+  if (s.empty() || s.front() < 'a' || s.front() > 'z') return false;
+  std::size_t dots = 0;
+  char prev = s.front();
+  for (const char c : s.substr(1)) {
+    if (c == '.') {
+      if (prev == '.') return false;
+      ++dots;
+    } else if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') || c == '_')) {
+      return false;
+    }
+    prev = c;
+  }
+  return dots > 0 && prev != '.';
+}
+
 /// R4 metric-name: string-literal metric names must be dotted.lowercase.
 void rule_metric_name(const std::string& rel, const Scanned& sc,
                       std::vector<Finding>& out) {
-  static const std::regex kName("^[a-z][a-z0-9_]*(\\.[a-z0-9_]+)+$");
   constexpr std::array<std::string_view, 6> kSinks = {
       "WCK_COUNTER_ADD", "WCK_GAUGE_SET", "WCK_HISTOGRAM_RECORD",
       ".counter",        ".gauge",        ".histogram"};
@@ -315,7 +332,7 @@ void rule_metric_name(const std::string& rel, const Scanned& sc,
       const auto lit = std::find_if(sc.literals.begin(), sc.literals.end(),
                                     [&](const Literal& l) { return l.pos == arg; });
       if (lit == sc.literals.end()) return;
-      if (std::regex_match(lit->content, kName)) return;
+      if (is_dotted_lowercase(lit->content)) return;
       out.push_back({rel, line_of(sc, pos),
                      "metric name \"" + lit->content +
                          "\" is not dotted.lowercase",
